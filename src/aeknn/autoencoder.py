@@ -9,8 +9,9 @@ training data, and layer widths are fractions of the ORIGINAL feature count,
 never of the intermediate widths.
 
 Gradients are exact analytic derivatives of the batch-mean reconstruction
-error; `gradients` exists as a separate entry point so it can be checked
-against finite differences.
+error. `gradients` and every batch of `train_layer` run through one
+forward/backward step, so checking `gradients` against finite differences
+checks the arithmetic that trains.
 """
 
 from __future__ import annotations
@@ -52,21 +53,18 @@ class ActivationKind(str, Enum):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self is ActivationKind.SIGMOID:
-            # split by sign to avoid overflow in exp
-            out = np.empty_like(x, dtype=np.float64)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
+            # exp only ever sees -|x|, so it cannot overflow: 1 / (1 + e^-x)
+            # for x >= 0 and e^x / (1 + e^x) below. np.minimum returns its
+            # first argument when both are NaN, so a NaN keeps its sign.
+            e = np.exp(np.minimum(x, -x))
+            return np.where(x >= 0, 1.0, e) / (1.0 + e)
         return np.maximum(x, 0.0)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        """Exact derivative evaluated at pre-activation values."""
+    def derivative_from_output(self, y: np.ndarray) -> np.ndarray:
+        """Exact derivative at x, given the activation's output y = apply(x)."""
         if self is ActivationKind.SIGMOID:
-            s = self.apply(x)
-            return s * (1.0 - s)
-        return (x > 0.0).astype(np.float64)
+            return y * (1.0 - y)
+        return (y > 0.0).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -187,27 +185,36 @@ def reconstruction_loss(layer: LayerParams, batch: np.ndarray) -> float:
     return float(np.mean((batch - x_rec) ** 2))
 
 
+def _loss_and_gradients(layer: LayerParams, batch: np.ndarray) -> tuple[float, Gradients]:
+    """One forward/backward pass: the batch-mean reconstruction error and its
+    analytic gradients. Non-finite values pass through silently; the caller
+    decides whether a non-finite loss is an error."""
+    n, d = batch.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = layer.act_hidden.apply(batch @ layer.w_enc.T + layer.b_enc)
+        x_rec = layer.act_out.apply(z @ layer.w_dec.T + layer.b_dec)
+        residual = x_rec - batch
+        loss = float(np.mean(residual**2))
+        g_out = (2.0 / (d * n)) * residual * layer.act_out.derivative_from_output(x_rec)
+        g_hidden = (g_out @ layer.w_dec) * layer.act_hidden.derivative_from_output(z)
+        grads = Gradients(
+            w_enc=g_hidden.T @ batch,
+            b_enc=g_hidden.sum(axis=0),
+            w_dec=g_out.T @ z,
+            b_dec=g_out.sum(axis=0),
+        )
+    return loss, grads
+
+
 def gradients(layer: LayerParams, batch: np.ndarray) -> Gradients:
     """Analytic gradients of the batch-mean reconstruction error.
 
     The per-sample loss is ||x - x_rec||^2 / d with d the input width, so
-    the output-side error signal carries a 2 / (d * n) factor.
+    the output-side error signal carries a 2 / (d * n) factor. This is the
+    step `train_layer` takes on every batch.
     """
     batch, _ = _as_batch(batch, layer.input_dim, "batch")
-    n, d = batch.shape
-    a_hidden = batch @ layer.w_enc.T + layer.b_enc
-    z = layer.act_hidden.apply(a_hidden)
-    a_out = z @ layer.w_dec.T + layer.b_dec
-    x_rec = layer.act_out.apply(a_out)
-
-    g_out = (2.0 / (d * n)) * (x_rec - batch) * layer.act_out.derivative(a_out)
-    g_hidden = (g_out @ layer.w_dec) * layer.act_hidden.derivative(a_hidden)
-    return Gradients(
-        w_enc=g_hidden.T @ batch,
-        b_enc=g_hidden.sum(axis=0),
-        w_dec=g_out.T @ z,
-        b_dec=g_out.sum(axis=0),
-    )
+    return _loss_and_gradients(layer, batch)[1]
 
 
 def train_layer(
@@ -232,11 +239,10 @@ def train_layer(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n, d = data.shape
+    # the arrays of `layer` are updated in place; nothing outside this
+    # function sees them until they are validated again as a new LayerParams
     layer = init_layer(d, hidden_size, rng, cfg.act_hidden, cfg.act_out)
-    w_enc = layer.w_enc.copy()
-    b_enc = layer.b_enc.copy()
-    w_dec = layer.w_dec.copy()
-    b_dec = layer.b_dec.copy()
+    params = (layer.w_enc, layer.b_enc, layer.w_dec, layer.b_dec)
 
     history: list[float] = []
     order = np.arange(n)
@@ -246,35 +252,22 @@ def train_layer(
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             batch = data[order[start : start + cfg.batch_size]]
-            m = batch.shape[0]
-
-            # overflow here is the divergence signal the guard below reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                a_hidden = batch @ w_enc.T + b_enc
-                z = cfg.act_hidden.apply(a_hidden)
-                a_out = z @ w_dec.T + b_dec
-                x_rec = cfg.act_out.apply(a_out)
-                residual = x_rec - batch
-                loss = float(np.mean(residual**2))
+            loss, grads = _loss_and_gradients(layer, batch)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            epoch_loss += loss * m
-
-            g_out = (2.0 / (d * m)) * residual * cfg.act_out.derivative(a_out)
-            g_hidden = (g_out @ w_dec) * cfg.act_hidden.derivative(a_hidden)
-            w_dec -= cfg.learning_rate * (g_out.T @ z)
-            b_dec -= cfg.learning_rate * g_out.sum(axis=0)
-            w_enc -= cfg.learning_rate * (g_hidden.T @ batch)
-            b_enc -= cfg.learning_rate * g_hidden.sum(axis=0)
+            epoch_loss += loss * batch.shape[0]
+            steps = (grads.w_enc, grads.b_enc, grads.w_dec, grads.b_dec)
+            for param, grad in zip(params, steps):
+                param -= cfg.learning_rate * grad
         history.append(epoch_loss / n)
 
     trained = LayerParams(
-        w_enc=w_enc,
-        b_enc=b_enc,
-        w_dec=w_dec,
-        b_dec=b_dec,
+        w_enc=layer.w_enc,
+        b_enc=layer.b_enc,
+        w_dec=layer.w_dec,
+        b_dec=layer.b_dec,
         act_hidden=cfg.act_hidden,
         act_out=cfg.act_out,
     )

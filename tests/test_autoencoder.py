@@ -47,12 +47,52 @@ class TestActivations:
 
     def test_relu_and_derivatives(self):
         x = np.array([-2.0, 0.0, 3.0])
-        assert ActivationKind.RELU.apply(x).tolist() == [0.0, 0.0, 3.0]
-        assert ActivationKind.RELU.derivative(x).tolist() == [0.0, 0.0, 1.0]
-        s = ActivationKind.SIGMOID.apply(x)
+        relu = ActivationKind.RELU
+        assert relu.apply(x).tolist() == [0.0, 0.0, 3.0]
+        assert relu.derivative_from_output(relu.apply(x)).tolist() == [0.0, 0.0, 1.0]
+        sigmoid = ActivationKind.SIGMOID
+        analytic = np.exp(-x) / (1.0 + np.exp(-x)) ** 2
         np.testing.assert_allclose(
-            ActivationKind.SIGMOID.derivative(x), s * (1 - s), atol=1e-15
+            sigmoid.derivative_from_output(sigmoid.apply(x)), analytic, rtol=1e-14
         )
+
+
+def split_by_sign_sigmoid(x):
+    """Reference sigmoid: each sign half through its own overflow-free form."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def pre_activation_derivative(kind, x):
+    """Reference derivative evaluated from the pre-activation values."""
+    if kind is ActivationKind.SIGMOID:
+        s = split_by_sign_sigmoid(x)
+        return s * (1.0 - s)
+    return (x > 0.0).astype(np.float64)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestActivationOracles:
+    @pytest.fixture(scope="class")
+    def points(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 1e-300, -1e-300]
+        wide = 30.0 * np.random.default_rng(17).normal(size=10**6)
+        return np.concatenate([wide, special])
+
+    def test_sigmoid_bitwise_equals_split_by_sign(self, points):
+        assert same_bits(ActivationKind.SIGMOID.apply(points), split_by_sign_sigmoid(points))
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_output_derivative_bitwise_equals_pre_activation_derivative(self, kind, points):
+        from_output = kind.derivative_from_output(kind.apply(points))
+        assert same_bits(from_output, pre_activation_derivative(kind, points))
 
 
 def manual_layer(w_enc, b_enc, w_dec, b_dec, hidden=ActivationKind.SIGMOID, out=ActivationKind.SIGMOID):
@@ -254,6 +294,27 @@ class TestTrainLayer:
     def test_rejects_empty_data(self):
         with pytest.raises(ValueError):
             train_layer(np.zeros((0, 4)), 2, TrainConfig())
+
+    @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.RELU])
+    def test_one_full_batch_epoch_is_one_checked_gradient_step(self, hidden):
+        # training takes exactly the step `gradients` computes, which the
+        # finite-difference checks cover
+        data = np.random.default_rng(21).uniform(size=(12, 5))
+        cfg = TrainConfig(
+            epochs=1,
+            batch_size=16,
+            learning_rate=0.7,
+            seed=3,
+            shuffle_each_epoch=False,
+            act_hidden=hidden,
+            act_out=ActivationKind.SIGMOID,
+        )
+        params, _ = train_layer(data, 3, cfg)
+        init = init_layer(5, 3, np.random.default_rng(3), hidden, ActivationKind.SIGMOID)
+        grads = gradients(init, data)
+        for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
+            want = getattr(init, name) - cfg.learning_rate * getattr(grads, name)
+            assert same_bits(getattr(params, name), want), name
 
 
 class TestBuildStack:

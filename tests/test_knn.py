@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from aeknn.knn import KnnModel, classify, classify_batch, neighbors
 
@@ -88,10 +91,11 @@ class TestClassify:
         assert pred.vote_fractions.tolist() == [0.4, 0.4, 0.2]
 
     def test_vote_tie_with_equal_distances_prefers_lower_class(self):
-        # two classes, one member each, exactly equidistant
-        refs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        model = KnnModel(references=refs, labels=np.array([1, 0]), k=2)
-        assert classify(model, np.zeros(2)).label == 0
+        # two classes, one member each, exactly equidistant; class 1 holds the
+        # first position, but the tie key is (nearest distance, class)
+        for refs in ([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]):
+            model = KnnModel(references=np.array(refs), labels=np.array([1, 0]), k=2)
+            assert classify(model, np.zeros(2)).label == 0
 
     def test_prediction_carries_neighbors(self):
         refs = points_on_circle([1.0, 2.0, 3.0])
@@ -175,3 +179,55 @@ class TestProperties:
             assert classify(scaled, query * c).label == classify(
                 KnnModel(references=refs, labels=labels, k=7), query
             ).label
+
+
+def cdist_oracle(references, labels, n_classes, k, queries):
+    """Per query (label, vote fractions, neighbor indices, distances) by the
+    documented rules: equal distances prefer the lower reference index, and a
+    vote tie goes to the tied class with the nearest member, then to the lower
+    class index."""
+    dist = cdist(queries, references)
+    index = np.arange(len(references))
+    out = []
+    for row in dist:
+        order = np.lexsort((index, row))[:k]
+        votes = labels[order]
+        counts = np.bincount(votes, minlength=n_classes)
+        tied = np.flatnonzero(counts == counts.max())
+        nearest = {c: row[order][votes == c].min() for c in tied}
+        label = min(tied, key=lambda c: (nearest[c], c))
+        out.append((label, counts / k, order, row[order]))
+    return out
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """Integer-grid references with duplicated rows, so equal distances are
+    exact and common; k runs up to the number of references."""
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    distinct = draw(st.lists(point, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=14))
+    references = np.array([distinct[i] for i in picks], dtype=np.float64)
+    n = len(picks)
+    n_classes = draw(st.integers(1, 4))
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    queries = np.array(draw(st.lists(point, min_size=1, max_size=4)), dtype=np.float64)
+    return references, labels, n_classes, k, queries
+
+
+class TestTieRulesAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_problems())
+    def test_batch_matches_cdist_oracle(self, problem):
+        references, labels, n_classes, k, queries = problem
+        model = KnnModel(references=references, labels=labels, k=k, n_classes=n_classes)
+        got = classify_batch(model, queries)
+        want = cdist_oracle(references, labels, n_classes, k, queries)
+        for pred, (label, fractions, order, dist) in zip(got, want):
+            assert pred.label == label
+            assert np.array_equal(pred.vote_fractions, fractions)
+            assert np.array_equal(pred.neighbor_indices, order)
+            # squared distances on an integer grid are exact integers
+            assert np.array_equal(pred.neighbor_distances, dist)
