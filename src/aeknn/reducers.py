@@ -2,9 +2,11 @@
 
 Four kinds: the trained autoencoder stack, principal-component projection,
 linear discriminant projection and the identity (the plain-kNN baseline).
-PCA and LDA are solved with a cyclic Jacobi rotation eigensolver, which is
-deterministic across platforms; a fixed sign convention (largest-magnitude
-component entry positive) removes the remaining eigenvector ambiguity.
+PCA and LDA are solved with LAPACK's symmetric eigensolver (`np.linalg.eigh`).
+Seeded fits repeat bitwise on one machine and BLAS build; across machines or
+BLAS builds the last bits may differ. A fixed sign convention
+(largest-magnitude component entry positive) removes the remaining
+eigenvector ambiguity.
 
 LDA can produce at most C - 1 discriminant directions for C classes, so its
 effective dimension may be lower than requested; `effective_dim` reports
@@ -42,45 +44,30 @@ __all__ = [
 ]
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(matrix: np.ndarray):
+    """Eigendecomposition of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues descending and
-    eigenvectors as orthonormal columns. Sweep order is fixed, so results are
-    deterministic for a given input.
+    Returns (eigenvalues, eigenvectors) with eigenvalues descending (a stable
+    sort, so equal eigenvalues keep LAPACK's order) and eigenvectors as
+    orthonormal columns. The input must be finite and symmetric to within an
+    absolute 1e-10 * max(1, largest |entry|); it is symmetrized as
+    (a + a^T) / 2 before the call.
+
+    The name predates LAPACK: `bench/spans.py` traces this function by name,
+    so the rename waits until stage timings are recorded inside the program
+    (ROADMAP item 2).
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max(initial=1.0)))):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite (it holds NaN or infinity)")
+    atol = 1e-10 * float(np.abs(a).max(initial=1.0))
+    if not np.allclose(a, a.T, rtol=0.0, atol=atol):
         raise ValueError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    scale = max(float(np.abs(a).max()), np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.T
-                v[:, [p, q]] = v[:, [p, q]] @ rot.T
-    eigenvalues = a.diagonal().copy()
+    eigenvalues, vectors = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+    return eigenvalues[order], vectors[:, order]
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from aeknn.autoencoder import TrainConfig
 from aeknn.reducers import (
@@ -39,6 +40,74 @@ class TestJacobi:
         w1, v1 = jacobi_eigh(a)
         w2, v2 = jacobi_eigh(a)
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+
+
+class TestEigensolverInputChecks:
+    def test_rejects_non_finite_input_by_name(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                jacobi_eigh(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_small_asymmetry_is_not_forgiven_relatively(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigh(np.array([[1.0, 2.0], [2.00001, 1.0]]))
+
+    def test_gram_covariances_pass(self):
+        rng = np.random.default_rng(12)
+        for d in (3, 85):
+            x = rng.normal(size=(40, d)) * rng.uniform(0.1, 100.0, size=d)
+            centered = x - x.mean(axis=0)
+            values, _ = jacobi_eigh(centered.T @ centered / 39)
+            assert values.shape == (d,)
+
+    def test_symmetrized_lda_reduction_passes(self):
+        # the matrix fit_lda hands over: L^-1 S_b L^-T, symmetrized first
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(30, 30))
+        chol = np.linalg.cholesky(m @ m.T + 30.0 * np.eye(30))
+        g = rng.normal(size=(30, 4))
+        reduced = np.linalg.solve(chol, np.linalg.solve(chol, g @ g.T).T).T
+        values, _ = jacobi_eigh((reduced + reduced.T) / 2.0)
+        assert values.shape == (30,)
+
+
+def assert_sign_convention(components):
+    for col in components.T:
+        assert col[np.argmax(np.abs(col))] > 0
+
+
+class TestPcaOracle:
+    @pytest.mark.parametrize("d", [85, 256])
+    def test_benchmark_widths(self, d):
+        rng = np.random.default_rng(d)
+        latent = rng.normal(size=(400, 16)) @ rng.normal(size=(16, d))
+        x = 1.0 / (1.0 + np.exp(-latent)) + 0.05 * rng.normal(size=(400, d))
+        model = fit_pca(x, target_dim=d)
+        cov = np.cov(x, rowvar=False)
+        want = np.linalg.eigvalsh(cov)[::-1]
+        largest = want[0]
+        assert np.max(np.abs(model.eigenvalues - want)) <= 1e-9 * largest
+        v = model.components
+        residual = cov @ v - v * model.eigenvalues
+        assert np.linalg.norm(residual) <= 1e-9 * largest
+        np.testing.assert_allclose(v.T @ v, np.eye(d), rtol=0, atol=1e-12)
+        assert_sign_convention(v)
+
+    @pytest.mark.parametrize("case", ["duplicated-columns", "identity-like"])
+    def test_repeated_eigenvalues_are_repeatable_and_descending(self, case):
+        if case == "duplicated-columns":
+            half = np.random.default_rng(14).normal(size=(50, 6))
+            x = np.hstack([half, half])  # six zero eigenvalues
+        else:
+            x = np.vstack([np.eye(8), -np.eye(8)])  # covariance = I * 2/15
+        first = fit_pca(x, target_dim=x.shape[1])
+        second = fit_pca(x, target_dim=x.shape[1])
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.components, second.components)
+        assert np.all(np.diff(first.eigenvalues) <= 0)
+        v = first.components
+        np.testing.assert_allclose(v.T @ v, np.eye(x.shape[1]), rtol=0, atol=1e-12)
+        assert_sign_convention(v)
 
 
 class TestPca:
@@ -157,6 +226,36 @@ class TestLda:
         labels = np.repeat([0, 1], 4)
         model = fit_lda(train, labels, target_dim=1)
         assert np.all(np.isfinite(model.projection))
+
+
+class TestLdaOracle:
+    @pytest.mark.parametrize("n_classes, d", [(3, 85), (7, 19)])
+    def test_generalized_eigenproblem(self, n_classes, d):
+        rng = np.random.default_rng(100 + n_classes)
+        centres = rng.normal(scale=2.0, size=(n_classes, d))
+        labels = np.repeat(np.arange(n_classes), 60)
+        train = centres[labels] + rng.normal(size=(labels.size, d)) @ rng.normal(size=(d, d))
+        model = fit_lda(train, labels, target_dim=d)
+
+        # the scatters as fit_lda documents them
+        mean = train.mean(axis=0)
+        s_w = np.zeros((d, d))
+        s_b = np.zeros((d, d))
+        for c in range(n_classes):
+            members = train[labels == c]
+            dev = members - members.mean(axis=0)
+            s_w += dev.T @ dev
+            gap = members.mean(axis=0) - mean
+            s_b += members.shape[0] * np.outer(gap, gap)
+        s_w_reg = s_w + 1e-6 * np.trace(s_w) / d * np.eye(d)
+
+        want = scipy.linalg.eigh(s_b, s_w_reg, eigvals_only=True)[::-1][: n_classes - 1]
+        assert model.effective_dim == n_classes - 1
+        assert np.all(np.diff(model.eigenvalues) <= 0)
+        np.testing.assert_allclose(model.eigenvalues, want, rtol=1e-9, atol=0)
+        for v, lam in zip(model.projection.T, model.eigenvalues):
+            residual = s_b @ v - lam * (s_w_reg @ v)
+            assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(s_b @ v)
 
 
 class TestFitReducer:
