@@ -325,8 +325,9 @@ def build_stack(train: np.ndarray, ppl, cfg: TrainConfig) -> AutoencoderStack:
 
     `ppl` is a sequence of positive fractions; layer i has width
     layer_size(original_feature_count, ppl[i]) and is trained to reconstruct
-    the encoding produced by layers 0..i-1, which re-encodes the working data
-    after every layer. Encoders are kept in order, decoders dropped.
+    the encoding produced by layers 0..i-1, so the working data is re-encoded
+    before every layer after the first. Encoders are kept in order, decoders
+    dropped.
     """
     train = np.asarray(train, dtype=np.float64)
     if train.ndim != 2 or train.shape[0] < 1:
@@ -342,10 +343,10 @@ def build_stack(train: np.ndarray, ppl, cfg: TrainConfig) -> AutoencoderStack:
     encoders: list[EncoderLayer] = []
     histories: list[tuple[float, ...]] = []
     for size in sizes:
+        if encoders:
+            working = encoders[-1].apply(working)
         params, losses = train_layer(working, size, cfg, rng=rng)
-        enc = EncoderLayer(w=params.w_enc, b=params.b_enc, activation=params.act_hidden)
-        working = enc.apply(working)
-        encoders.append(enc)
+        encoders.append(EncoderLayer(w=params.w_enc, b=params.b_enc, activation=params.act_hidden))
         histories.append(tuple(losses))
     return AutoencoderStack(
         layers=tuple(encoders), input_dim=d0, loss_histories=tuple(histories)

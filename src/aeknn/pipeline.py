@@ -11,12 +11,21 @@ Reported timing splits the work into fit (normalizer + reducer + encoding
 the training rows, i.e. building the classification model), encode (test
 rows only) and classify (the kNN scan). "Classification time" in aggregated
 results means encode + classify.
+
+Both encodes run with the process's OpenBLAS held to one thread. They are
+small products, and after a threaded product OpenBLAS's workers busy-wait
+for about 0.1 s; on a two-CPU host that spin halved the speed of the kNN
+scan timed right after the training fold's encode.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -27,6 +36,48 @@ from .metrics import ConfusionMatrix, accuracy, auc, f_score
 from .reducers import fit_reducer
 
 __all__ = ["PipelineConfig", "FoldResult", "CvResult", "run_fold", "run_cv"]
+
+
+@cache
+def _openblas_thread_counts() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS this process has
+    loaded, found through /proc/self/maps; empty where there is none or the
+    map cannot be read."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    counts = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    counts.append((get, set_))
+    return tuple(counts)
+
+
+_blas_lock = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS to one thread, then restore its count."""
+    with _blas_lock:
+        saved = [(set_, get()) for get, set_ in _openblas_thread_counts()]
+        for set_, _ in saved:
+            set_(1)
+        try:
+            yield
+        finally:
+            for set_, threads in saved:
+                set_(threads)
 
 
 @dataclass(frozen=True)
@@ -135,12 +186,14 @@ def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
     t0 = time.perf_counter()
     stats, reducer = fit_fold_model(train, cfg)
     train_matrix = stats.apply(train.features) if stats is not None else train.features
-    encoded_train = reducer.transform(train_matrix)
+    with _one_blas_thread():
+        encoded_train = reducer.transform(train_matrix)
     fit_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     test_matrix = stats.apply(test.features) if stats is not None else test.features
-    encoded_test = reducer.transform(test_matrix)
+    with _one_blas_thread():
+        encoded_test = reducer.transform(test_matrix)
     encode_seconds = time.perf_counter() - t0
 
     model = KnnModel(

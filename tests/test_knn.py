@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from aeknn import knn
 from aeknn.knn import KnnModel, classify, classify_batch, neighbors
 
 
@@ -186,8 +189,12 @@ def cdist_oracle(references, labels, n_classes, k, queries):
     documented rules: equal distances prefer the lower reference index, and a
     vote tie goes to the tied class with the nearest member, then to the lower
     class index."""
-    dist = cdist(queries, references)
-    index = np.arange(len(references))
+    return rule_oracle(cdist(queries, references), labels, n_classes, k)
+
+
+def rule_oracle(dist, labels, n_classes, k):
+    """`cdist_oracle` on a given (queries x references) distance matrix."""
+    index = np.arange(dist.shape[1])
     out = []
     for row in dist:
         order = np.lexsort((index, row))[:k]
@@ -231,3 +238,83 @@ class TestTieRulesAgainstOracle:
             assert np.array_equal(pred.neighbor_indices, order)
             # squared distances on an integer grid are exact integers
             assert np.array_equal(pred.neighbor_distances, dist)
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_by_every_entry_point(self, bad):
+        model = KnnModel(references=np.eye(3), labels=np.array([0, 1, 2]), k=2)
+        query = np.array([0.5, bad, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            neighbors(model, query)
+        with pytest.raises(ValueError, match="non-finite"):
+            classify(model, query)
+        batch = np.vstack([np.zeros(3), query])
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_batch(model, batch)
+
+    def test_single_query_entry_points_take_one_row_only(self):
+        model = KnnModel(references=np.eye(3), labels=np.array([0, 1, 2]), k=2)
+        for call in (neighbors, classify):
+            assert call(model, np.zeros((1, 3))) is not None
+            with pytest.raises(ValueError, match="single query"):
+                call(model, np.zeros((2, 3)))
+
+
+def test_vote_tie_at_overflowing_distances_stays_among_contenders():
+    # every squared difference overflows to inf; classes 1 and 2 tie on votes
+    # and on (infinite) nearest distance, class 0 has no vote at all
+    refs = np.array([[1e300], [-1e300], [1e300], [-1e300]])
+    model = KnnModel(references=refs, labels=np.array([2, 1, 2, 1]), k=4, n_classes=3)
+    with np.errstate(over="ignore"):
+        pred = classify(model, np.zeros(1))
+    assert np.all(np.isinf(pred.neighbor_distances))
+    assert pred.label == 1
+
+
+def broadcast_reference(references, queries):
+    """The unblocked distance formula the search must reproduce bit for bit."""
+    return np.sqrt(((queries[:, None, :] - references[None, :, :]) ** 2).sum(axis=2))
+
+
+class TestBitwiseAgainstBroadcastFormula:
+    @pytest.mark.parametrize("block_bytes", [None, 2048])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 129, 256, 300])
+    def test_labels_fractions_indices_and_distance_bits(self, width, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            # many blocks and tiles with ragged edges
+            monkeypatch.setattr(knn, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(width)
+        n_ref, n_q = 150, 40
+        refs = rng.normal(size=(n_ref, width)) * rng.choice([1e-3, 1.0, 1e3], size=width)
+        refs[100:110] = refs[:10]  # duplicated rows, so distances tie exactly
+        queries = rng.normal(size=(n_q, width)) * rng.choice([1e-3, 1.0, 1e3], size=width)
+        queries[:5] = refs[:5]
+        labels = rng.integers(0, 4, size=n_ref)
+        dist = broadcast_reference(refs, queries)
+        for k in (1, 5, n_ref):
+            model = KnnModel(references=refs, labels=labels, k=k, n_classes=4)
+            got = classify_batch(model, queries)
+            want = rule_oracle(dist, labels, 4, k)
+            for pred, (label, fractions, order, row_dist) in zip(got, want):
+                assert pred.label == label
+                assert pred.vote_fractions.tobytes() == fractions.tobytes()
+                assert np.array_equal(pred.neighbor_indices, order)
+                assert pred.neighbor_distances.tobytes() == row_dist.tobytes()
+
+
+def test_classify_batch_memory_is_bounded_at_musk_shape():
+    # one scan at a musk-like shape (about 5300 x 166 references, 64 queries);
+    # materializing a (64, 5300, 166) difference block alone takes 0.45 GB
+    rng = np.random.default_rng(5)
+    model = KnnModel(
+        references=rng.random((5300, 166)), labels=rng.integers(0, 2, size=5300), k=5
+    )
+    queries = rng.random((64, 166))
+    tracemalloc.start()
+    try:
+        classify_batch(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from aeknn.autoencoder import TrainConfig
 from aeknn.dataset import Dataset, fit_normalizer, make_folds
 from aeknn.knn import KnnModel, classify_batch
 from aeknn.metrics import ConfusionMatrix, accuracy
+from aeknn import pipeline
 from aeknn.pipeline import PipelineConfig, fit_fold_model, run_cv, run_fold
 
 
@@ -105,6 +110,70 @@ class TestRunFold:
         cfg = PipelineConfig(reducer="identity", k=1)
         with pytest.raises(ValueError, match="feature"):
             run_fold(a.subset(np.arange(60)), b.subset(np.arange(60)), cfg)
+
+
+    def test_fold_encodes_run_on_one_blas_thread(self, monkeypatch):
+        counts = pipeline._openblas_thread_counts()
+        if not counts:
+            pytest.skip("no OpenBLAS with a thread-count API is loaded")
+        seen = []
+
+        class Recording:
+            effective_dim = 6
+
+            def transform(self, matrix):
+                seen.append([get() for get, _ in counts])
+                return matrix
+
+        monkeypatch.setattr(pipeline, "fit_reducer", lambda *args, **kwargs: Recording())
+        saved = [get() for get, _ in counts]
+        try:
+            for _, set_ in counts:
+                set_(2)
+            data = blob_data()
+            run_fold(data.subset(np.arange(80)), data.subset(np.arange(80, 120)),
+                     PipelineConfig(reducer="identity", k=3))
+            after = [get() for get, _ in counts]
+        finally:
+            for (_, set_), threads in zip(counts, saved):
+                set_(threads)
+        # the training fold's encode, then the test fold's
+        assert seen == [[1] * len(counts)] * 2
+        assert after == [2] * len(counts)
+
+    def test_one_blas_thread_restores_counts_under_concurrent_use(self):
+        counts = pipeline._openblas_thread_counts()
+        if not counts:
+            pytest.skip("no OpenBLAS with a thread-count API is loaded")
+        saved = [get() for get, _ in counts]
+        inside = []
+        start = threading.Barrier(4)
+
+        def worker():
+            start.wait(timeout=60)
+            for _ in range(500):
+                with pipeline._one_blas_thread():
+                    time.sleep(0)  # let the other threads run inside the guard
+                    inside.append([get() for get, _ in counts])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _, set_ in counts:
+                set_(2)
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            after = [get() for get, _ in counts]
+        finally:
+            sys.setswitchinterval(interval)
+            for (_, set_), threads_before in zip(counts, saved):
+                set_(threads_before)
+        assert inside == [[1] * len(counts)] * 2000
+        assert after == [2] * len(counts)
 
 
 class TestRunCv:

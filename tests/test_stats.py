@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import stats as sps
 from scipy.stats import rankdata
 
 from aeknn.stats import (
@@ -12,6 +13,7 @@ from aeknn.stats import (
     friedman,
     wilcoxon_signed_rank,
 )
+from aeknn.tables import available_tables, load_reference
 
 
 def matrix(values, prefix="col"):
@@ -222,3 +224,65 @@ class TestWilcoxon:
         report = wilcoxon_signed_rank(diffs, np.zeros(14))
         assert report.statistic == 6.0
         assert report.p_value == 28.0 / 2.0**14
+
+
+def scipy_friedman(values, direction):
+    """(statistic, p, average ranks) from scipy. aeknn reports the chi-square
+    form without the tie correction, which scipy divides by, so scipy's
+    statistic is multiplied back by that correction."""
+    n, k = values.shape
+    signed = -values if direction == "higher" else values
+    ranks = np.vstack([rankdata(row) for row in signed])
+    ties = sum(float(np.sum(t**3 - t)) for t in
+               (np.unique(row, return_counts=True)[1] for row in values))
+    correction = 1.0 - ties / (n * k * (k * k - 1))
+    statistic = sps.friedmanchisquare(*values.T).statistic * correction
+    return statistic, sps.chi2.sf(statistic, k - 1), ranks.mean(axis=0)
+
+
+class TestFriedmanAgainstScipy:
+    def check(self, values, direction):
+        report = friedman(matrix(values), direction=direction)
+        statistic, p_value, avg_ranks = scipy_friedman(values, direction)
+        assert report.statistic == pytest.approx(statistic, rel=1e-12, abs=1e-12)
+        assert report.p_value == pytest.approx(p_value, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(report.avg_ranks, avg_ranks, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("direction", ["higher", "lower"])
+    def test_random_matrices_with_ties(self, direction):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 40:
+            n = int(rng.integers(3, 16))
+            k = int(rng.integers(3, 8))
+            values = np.round(rng.uniform(size=(n, k)), 1)  # one decimal: many ties
+            if np.all(values == values[:, :1]):
+                continue  # scipy's statistic is undefined on all-constant rows
+            self.check(values, direction)
+            checked += 1
+
+    @pytest.mark.parametrize("name", available_tables())
+    def test_bundled_tables(self, name):
+        values = load_reference(name).values
+        direction = "lower" if name.endswith("_time") else "higher"
+        if values.shape[1] >= 3:
+            self.check(values, direction)
+
+
+class TestWilcoxonAgainstScipy:
+    def test_exact_below_21_pairs(self):
+        """Where the definitions coincide: no zero and no tied absolute
+        differences, at most 20 pairs, so scipy's exact distribution applies."""
+        rng = np.random.default_rng(12)
+        for n in range(5, 21):
+            for _ in range(4):
+                magnitudes = rng.choice(np.arange(1, 2000), size=n, replace=False) / 1000.0
+                signs = rng.choice([-1.0, 1.0], size=n)
+                b = np.round(rng.uniform(size=n), 3)
+                a = b + signs * magnitudes
+                report = wilcoxon_signed_rank(a, b)
+                diffs = np.round(a - b, 9)
+                assert np.all(diffs != 0) and np.unique(np.abs(diffs)).size == n
+                want = sps.wilcoxon(diffs, method="exact")
+                assert report.statistic == want.statistic
+                assert report.p_value == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
