@@ -3,7 +3,10 @@
 Subcommands:
   eval      run cross-validated experiments over datasets x configurations
             and emit per-metric result tables, per-fold audit files and a
-            run manifest
+            run manifest. Dataset-major: each CSV is parsed once and its fold
+            plan built once, in the main process, and every configuration's
+            cell runs on that shared pair (in --jobs worker processes when
+            asked); a parse or plan failure fails all of that dataset's cells
   stats     Friedman or Wilcoxon analysis of a labeled result-matrix CSV
   plotdata  flatten a manifest into plot-ready (dataset, configuration,
             value) files, one per metric
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .autoencoder import TrainConfig
-from .dataset import load_csv, make_folds
+from .dataset import Dataset, FoldPlan, load_csv, make_folds
 from .pipeline import PipelineConfig, run_cv
 from .stats import ResultMatrix, friedman, wilcoxon_signed_rank
 
@@ -230,40 +233,22 @@ def _resolve_spec(args) -> ExperimentSpec:
     )
 
 
-def _run_cell(payload: dict) -> dict:
-    """One (dataset, configuration) cell; module-level so workers can pickle it."""
-    spec_kwargs = payload["spec"]
-    data = load_csv(
-        payload["dataset_path"],
-        label_column=spec_kwargs["label_column"],
-        has_header=spec_kwargs["has_header"],
-    )
-    plan = make_folds(data, spec_kwargs["repetitions"], spec_kwargs["folds"], spec_kwargs["seed"])
-    cfg_dict = payload["config"]
-    cfg = PipelineConfig(
-        reducer=cfg_dict["reducer"],
-        ppl=tuple(cfg_dict["ppl"]),
-        k=cfg_dict["k"],
-        target_dim=cfg_dict["target_dim"],
-        train_cfg=TrainConfig(
-            epochs=cfg_dict["epochs"],
-            batch_size=cfg_dict["batch_size"],
-            learning_rate=cfg_dict["learning_rate"],
-            seed=spec_kwargs["seed"],
-        ),
-    )
-    result = run_cv(data, plan, cfg, positive=spec_kwargs["positive"])
-    audit_rows = []
+def _run_cell(data: Dataset, plan: FoldPlan, cfg: PipelineConfig, positive: int) -> dict:
+    """One (dataset, configuration) cell on its dataset's shared parse and
+    fold plan; module-level so --jobs workers can unpickle it."""
+    result = run_cv(data, plan, cfg, positive=positive)
+    audit = ["repetition,fold,row_id,true_label,predicted_label," + ",".join(
+        f"score_{c}" for c in data.class_names
+    )]
     for fold_no, fold in enumerate(result.fold_results):
         rep, fold_idx = divmod(fold_no, plan.n_folds)
-        for i in range(fold.n_test):
-            audit_rows.append(
-                [rep, fold_idx, int(fold.test_indices[i]), int(fold.true_labels[i]),
-                 int(fold.predictions[i])] + [repr(float(s)) for s in fold.scores[i]]
+        for row_id, true, predicted, scores in zip(
+            fold.test_indices.tolist(), fold.true_labels.tolist(),
+            fold.predictions.tolist(), fold.scores.tolist(),
+        ):
+            audit.append(
+                f"{rep},{fold_idx},{row_id},{true},{predicted}," + ",".join(map(repr, scores))
             )
-    plan_lines = [
-        f"folds {plan.n_folds} repetitions {plan.repetitions} samples {plan.n_samples}"
-    ] + [" ".join(str(v) for v in plan.assignments[rep]) for rep in range(plan.repetitions)]
     return {
         "metrics": {
             "accuracy": result.accuracy,
@@ -272,12 +257,20 @@ def _run_cell(payload: dict) -> dict:
             "time": result.classification_seconds,
         },
         "fit_seconds": result.fit_seconds,
-        "fold_plan_fingerprint": plan.fingerprint(),
-        "fold_plan_text": "\n".join(plan_lines) + "\n",
-        "n_classes": data.n_classes,
-        "audit_rows": audit_rows,
-        "class_names": list(data.class_names),
+        "audit_text": "\n".join(audit) + "\n",
     }
+
+
+class _InlineExecutor(concurrent.futures.Executor):
+    """Runs each submitted call at once in this process (--jobs 1)."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # cell failures are reported, not fatal
+            future.set_exception(exc)
+        return future
 
 
 def _matrix_csv(datasets, labels, cells, metric) -> str:
@@ -299,87 +292,53 @@ def cmd_eval(args) -> int:
     os.makedirs(spec.out_dir, exist_ok=True)
     folds_dir = os.path.join(spec.out_dir, "folds")
     os.makedirs(folds_dir, exist_ok=True)
+    dataset_names = [os.path.splitext(os.path.basename(path))[0] for path in spec.datasets]
+    labels = [label for label, _ in spec.configs]
 
-    dataset_names = []
-    name_by_path = {}
-    for path in spec.datasets:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        name_by_path[path] = stem
-        dataset_names.append(stem)
-
-    spec_common = {
-        "repetitions": spec.repetitions,
-        "folds": spec.folds,
-        "seed": spec.seed,
-        "has_header": spec.has_header,
-        "label_column": spec.label_column,
-        "positive": spec.positive,
-    }
-    jobs_payload = []
-    for path in spec.datasets:
-        for label, cfg in spec.configs:
-            jobs_payload.append(
-                {
-                    "dataset_path": path,
-                    "dataset_name": name_by_path[path],
-                    "config_label": label,
-                    "config": {
-                        "reducer": cfg.reducer,
-                        "ppl": list(cfg.ppl),
-                        "k": cfg.k,
-                        "target_dim": cfg.target_dim,
-                        "epochs": cfg.train_cfg.epochs,
-                        "batch_size": cfg.train_cfg.batch_size,
-                        "learning_rate": cfg.train_cfg.learning_rate,
-                    },
-                    "spec": spec_common,
-                }
-            )
+    # dataset-major: each CSV is parsed and its fold plan built once, here,
+    # and every configuration's cell runs on that shared pair
+    plans: dict[str, FoldPlan] = {}
+    futures: dict[tuple[str, str], concurrent.futures.Future] = {}
+    pool = (
+        concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs)
+        if spec.jobs > 1
+        else _InlineExecutor()
+    )
+    with pool:
+        for path, ds in zip(spec.datasets, dataset_names):
+            try:
+                data = load_csv(path, label_column=spec.label_column, has_header=spec.has_header)
+                plans[ds] = make_folds(data, spec.repetitions, spec.folds, spec.seed)
+            except Exception as exc:  # fails every cell of this dataset
+                failed = concurrent.futures.Future()
+                failed.set_exception(exc)
+                futures.update(((ds, label), failed) for label in labels)
+                continue
+            for label, cfg in spec.configs:
+                futures[(ds, label)] = pool.submit(_run_cell, data, plans[ds], cfg, spec.positive)
 
     cells: dict[tuple[str, str], dict] = {}
-    if spec.jobs == 1:
-        outcomes = []
-        for payload in jobs_payload:
-            try:
-                outcomes.append(_run_cell(payload))
-            except Exception as exc:  # cell failures are reported, not fatal
-                outcomes.append(exc)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            futures = [pool.submit(_run_cell, payload) for payload in jobs_payload]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    outcomes.append(exc)
-
     any_failed = False
-    for payload, outcome in zip(jobs_payload, outcomes):
-        key = (payload["dataset_name"], payload["config_label"])
-        if isinstance(outcome, Exception):
+    for key, future in futures.items():
+        exc = future.exception()
+        if exc is not None:
             any_failed = True
-            cells[key] = {"status": "failed", "reason": f"{type(outcome).__name__}: {outcome}"}
+            cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
             print(f"FAILED {key[0]} x {key[1]}: {cells[key]['reason']}", file=sys.stderr)
             continue
+        outcome = future.result()
         cells[key] = {
             "status": "ok",
             "metrics": outcome["metrics"],
             "fit_seconds": outcome["fit_seconds"],
-            "fold_plan_fingerprint": outcome["fold_plan_fingerprint"],
+            "fold_plan_fingerprint": plans[key[0]].fingerprint(),
         }
-        # one sidecar per dataset; identical across that dataset's configs
-        _atomic_write(
-            os.path.join(folds_dir, f"{key[0]}.plan"), outcome["fold_plan_text"]
-        )
-        header = "repetition,fold,row_id,true_label,predicted_label," + ",".join(
-            f"score_{c}" for c in outcome["class_names"]
-        )
-        lines = [header] + [",".join(str(v) for v in row) for row in outcome["audit_rows"]]
-        audit_path = os.path.join(folds_dir, f"{key[0]}__{key[1]}.csv")
-        _atomic_write(audit_path, "\n".join(lines) + "\n")
+        _atomic_write(os.path.join(folds_dir, f"{key[0]}__{key[1]}.csv"), outcome["audit_text"])
+    for ds, plan in plans.items():
+        # one sidecar per dataset with at least one finished cell
+        if any(cells[(ds, label)]["status"] == "ok" for label in labels):
+            _atomic_write(os.path.join(folds_dir, f"{ds}.plan"), plan.to_text())
 
-    labels = [label for label, _ in spec.configs]
     for metric in METRICS:
         _atomic_write(
             os.path.join(spec.out_dir, f"{metric}.csv"),

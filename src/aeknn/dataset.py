@@ -201,21 +201,25 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
         has_header: skip and use the first row as column names.
         name: dataset name recorded on the result (defaults to the file stem).
 
-    Labels are mapped to dense indices by first appearance. Parse errors
-    report the offending row and column (1-based, as in the file).
+    Labels are stripped and mapped to dense indices by first appearance.
+    Features are parsed by Python's `float`, which accepts surrounding
+    whitespace. Parse errors report the offending row as its line in the
+    file (blank lines counted) and the column, both 1-based.
     """
     path = str(path)
+    header: list[str] | None = None
     rows: list[list[str]] = []
+    lines: list[int] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header: list[str] | None = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
+        for row in reader:
+            if not "".join(row).strip():
                 continue
             if has_header and header is None:
                 header = [cell.strip() for cell in row]
                 continue
-            rows.append([cell.strip() for cell in row])
+            rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: empty file")
 
@@ -234,46 +238,51 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
     if not 0 <= label_idx < width:
         raise ValueError(f"{path}: label column {label_column} out of range for width {width}")
 
-    first_data_line = 2 if has_header else 1
-    features = np.empty((len(rows), width - 1), dtype=np.float64)
-    class_names: list[str] = []
-    class_index: dict[str, int] = {}
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: row {i + first_data_line} has {len(row)} columns, expected {width}"
-            )
-        col_out = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                if not cell:
-                    raise ValueError(f"{path}: empty label at row {i + first_data_line}")
-                if cell not in class_index:
-                    class_index[cell] = len(class_names)
-                    class_names.append(cell)
-                labels[i] = class_index[cell]
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {cell!r} at row {i + first_data_line}, "
-                    f"column {j + 1}"
-                ) from None
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"{path}: non-finite value at row {i + first_data_line}, column {j + 1}"
-                )
-            features[i, col_out] = value
-            col_out += 1
+    def file_column(j: int) -> int:
+        """1-based file column of feature column j."""
+        return j + 1 if j < label_idx else j + 2
 
-    if len(class_names) < 2:
+    features = np.empty((len(rows), width - 1), dtype=np.float64)
+    labels = np.empty(len(rows), dtype=np.int64)
+    class_index: dict[str, int] = {}
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {line} has {len(row)} columns, expected {width}")
+        label = row.pop(label_idx).strip()
+        if not label:
+            raise ValueError(f"{path}: empty label at row {line}")
+        labels[i] = class_index.setdefault(label, len(class_index))
+        try:
+            features[i] = list(map(float, row))
+        except ValueError:
+            j = _first_non_float(row)
+            raise ValueError(
+                f"{path}: non-numeric value {row[j].strip()!r} at row {line}, "
+                f"column {file_column(j)}"
+            ) from None
+    non_finite = np.argwhere(~np.isfinite(features))
+    if non_finite.size:
+        i, j = non_finite[0]
+        raise ValueError(
+            f"{path}: non-finite value at row {lines[i]}, column {file_column(j)}"
+        )
+
+    if len(class_index) < 2:
         raise ValueError(f"{path}: single-class dataset, classification is degenerate")
     if name is None:
         stem = path.rsplit("/", 1)[-1]
         name = stem.rsplit(".", 1)[0] if "." in stem else stem
-    return Dataset(features=features, labels=labels, class_names=tuple(class_names), name=name)
+    return Dataset(features=features, labels=labels, class_names=tuple(class_index), name=name)
+
+
+def _first_non_float(cells: list[str]) -> int:
+    """Index of the first cell that `float` rejects (the row must have one)."""
+    for j, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return j
+    raise AssertionError("every cell parses")
 
 
 @dataclass(frozen=True)
@@ -329,15 +338,15 @@ class FoldPlan:
         h.update(self.assignments.tobytes())
         return h.hexdigest()
 
-    def save_text(self, path) -> None:
+    def to_text(self) -> str:
         """Plain-text sidecar for exact experiment replay."""
+        lines = [f"folds {self.n_folds} repetitions {self.repetitions} samples {self.n_samples}"]
+        lines += [" ".join(map(str, row)) for row in self.assignments.tolist()]
+        return "\n".join(lines) + "\n"
+
+    def save_text(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                f"folds {self.n_folds} repetitions {self.repetitions} "
-                f"samples {self.n_samples}\n"
-            )
-            for rep in range(self.repetitions):
-                handle.write(" ".join(str(v) for v in self.assignments[rep]) + "\n")
+            handle.write(self.to_text())
 
     @classmethod
     def load_text(cls, path) -> "FoldPlan":

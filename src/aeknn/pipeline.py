@@ -154,6 +154,13 @@ def fit_fold_model(train: Dataset | "object", cfg: PipelineConfig):
     """Fit everything the training fold determines: normalization stats (or
     None) and the reducer. Exposed separately so leak-freedom is checkable:
     the test fold is not an input."""
+    stats, reducer, _ = _fit_fold(train, cfg)
+    return stats, reducer
+
+
+def _fit_fold(train, cfg: PipelineConfig):
+    """`fit_fold_model` plus the normalized training matrix the reducer was
+    fitted on, so `run_fold` encodes it without normalizing it again."""
     stats = fit_normalizer(train.features) if cfg.normalize else None
     train_matrix = stats.apply(train.features) if stats is not None else train.features
     reducer = fit_reducer(
@@ -164,7 +171,7 @@ def fit_fold_model(train: Dataset | "object", cfg: PipelineConfig):
         ppl=cfg.ppl if cfg.reducer != "identity" else None,
         train_cfg=cfg.train_cfg,
     )
-    return stats, reducer
+    return stats, reducer, train_matrix
 
 
 def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
@@ -184,8 +191,7 @@ def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
     n_classes = train.n_classes
 
     t0 = time.perf_counter()
-    stats, reducer = fit_fold_model(train, cfg)
-    train_matrix = stats.apply(train.features) if stats is not None else train.features
+    stats, reducer, train_matrix = _fit_fold(train, cfg)
     with _one_blas_thread():
         encoded_train = reducer.transform(train_matrix)
     fit_seconds = time.perf_counter() - t0

@@ -1,13 +1,23 @@
 import csv
+import importlib.util
 import json
 import os
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from aeknn import synth
+from aeknn import cli, dataset, pipeline, synth
 from aeknn.cli import main, parse_ppl
 from aeknn.tables import reference_path
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
+THREE_BASELINES = (
+    "[config:knn]\nreducer = identity\n\n"
+    "[config:pca_0.5]\nreducer = pca\nppl = 0.5\n\n"
+    "[config:lda_0.5]\nreducer = lda\nppl = 0.5\n"
+)
 
 
 @pytest.fixture()
@@ -186,6 +196,127 @@ class TestEval:
         assert main(args + ["--out", str(par), "--jobs", "2"]) == 0
         for metric in ("accuracy", "fscore", "auc"):
             assert (seq / f"{metric}.csv").read_bytes() == (par / f"{metric}.csv").read_bytes()
+        # the audit CSVs and plan sidecars too
+        names = sorted(os.listdir(seq / "folds"))
+        assert names == sorted(os.listdir(par / "folds")) and len(names) == 6
+        for name in names:
+            assert (seq / "folds" / name).read_bytes() == (par / "folds" / name).read_bytes()
+
+    def test_each_dataset_parsed_and_planned_once(self, blob_csvs, tmp_path, monkeypatch):
+        calls = {"load_csv": [], "make_folds": 0}
+        real_load, real_folds = cli.load_csv, cli.make_folds
+
+        def counting_load(path, **kwargs):
+            calls["load_csv"].append(path)
+            return real_load(path, **kwargs)
+
+        def counting_folds(*args, **kwargs):
+            calls["make_folds"] += 1
+            return real_folds(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counting_load)
+        monkeypatch.setattr(cli, "make_folds", counting_folds)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(THREE_BASELINES, encoding="utf-8")
+        out = tmp_path / "results"
+        code = main(
+            ["eval", "--dataset", blob_csvs[0], "--dataset", blob_csvs[1], "--config", str(ini),
+             "--seed", "3", "--reps", "1", "--folds", "4", "--out", str(out)]
+        )
+        assert code == 0
+        assert calls == {"load_csv": blob_csvs, "make_folds": 2}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["cells"]) == 6
+        assert all(c["status"] == "ok" for c in manifest["cells"].values())
+
+    @pytest.mark.parametrize(
+        "bad_text, reason",
+        [
+            ("1.0,A\n\n2.0,B\n3.0,oops,A\n",
+             "ValueError: {path}: row 4 has 3 columns, expected 2"),
+            ("1.0,A\n2.0,B\n3.0,A\n4.0,A\n5.0,A\n",
+             "ValueError: class 'B' has 1 members, fewer than 4 folds"),
+        ],
+    )
+    def test_dataset_failure_fails_all_its_cells(
+        self, blob_csvs, tmp_path, capsys, bad_text, reason
+    ):
+        bad = tmp_path / "broken.csv"
+        bad.write_text(bad_text, encoding="utf-8")
+        ini = tmp_path / "exp.ini"
+        ini.write_text(THREE_BASELINES, encoding="utf-8")
+        out = tmp_path / "results"
+        code = main(
+            ["eval", "--dataset", str(bad), "--dataset", blob_csvs[0], "--config", str(ini),
+             "--seed", "3", "--reps", "1", "--folds", "4", "--out", str(out)]
+        )
+        assert code == 1
+        cells = json.loads((out / "manifest.json").read_text())["cells"]
+        expected = reason.format(path=bad)
+        for label in ("knn", "pca_0.5", "lda_0.5"):
+            assert cells[f"broken::{label}"] == {"status": "failed", "reason": expected}
+            assert cells[f"alpha::{label}"]["status"] == "ok"
+        assert capsys.readouterr().err.count(f": {expected}\n") == 3
+        rows = read_csv(out / "accuracy.csv")
+        assert rows[1] == ["broken", "nan", "nan", "nan"]
+        assert all(v != "nan" for v in rows[2][1:])
+        assert sorted(os.listdir(out / "folds")) == [
+            "alpha.plan", "alpha__knn.csv", "alpha__lda_0.5.csv", "alpha__pca_0.5.csv",
+        ]
+
+    def test_no_plan_sidecar_when_every_cell_of_a_dataset_fails(self, blob_csvs, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[config:pca0]\nreducer = pca\ntarget_dim = 0\n", encoding="utf-8")
+        out = tmp_path / "results"
+        code = main(
+            ["eval", "--dataset", blob_csvs[0], "--config", str(ini),
+             "--seed", "3", "--reps", "1", "--folds", "4", "--out", str(out)]
+        )
+        assert code == 1
+        assert os.listdir(out / "folds") == []
+
+
+class TestBenchmarkSpans:
+    """The benchmark's traced run patches `aeknn` functions where the package
+    looks them up (`bench/spans.py`); a renamed or removed target, or a call
+    that bypasses the patched name, leaves a per-layer metric unmeasured."""
+
+    @pytest.fixture()
+    def spans(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_target_exists(self, spans):
+        patches = spans.Patches(spans.Tracer())
+        try:
+            assert patches.missing == []
+        finally:
+            patches.close()
+        assert cli.load_csv is dataset.load_csv and cli.run_cv is pipeline.run_cv
+
+    def test_traced_eval_counts_one_parse_per_dataset(self, spans, blob_csvs, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(THREE_BASELINES, encoding="utf-8")
+        tracer = spans.Tracer()
+        patches = spans.Patches(tracer)
+        try:
+            code = main(
+                ["eval", "--dataset", blob_csvs[0], "--dataset", blob_csvs[1],
+                 "--config", str(ini), "--seed", "3", "--reps", "1", "--folds", "4",
+                 "--out", str(tmp_path / "results")]
+            )
+        finally:
+            patches.close()
+        assert code == 0
+        assert tracer.counts["dataset.load_csv_calls"] == 2
+        assert tracer.counts["cli.cells"] == 6
+        assert tracer.counts["pipeline.folds"] == 6 * 4
+        for span in ("dataset.load_csv_s", "dataset.make_folds_s", "cli.eval_self_s"):
+            assert tracer.seconds[span] > 0.0
 
 
 class TestStats:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,112 @@ class TestLoadCsv:
     def test_dataset_name_defaults_to_stem(self, tmp_path):
         path = write(tmp_path, "1,A\n2,B\n", name="segment.csv")
         assert load_csv(path).name == "segment"
+
+
+def per_cell_reference(path, label_idx, has_header):
+    """The loader as it was before vectorizing: strip every cell, then
+    `float` each feature cell; returns (features, label cells)."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = [row for row in csv.reader(handle) if row and any(c.strip() for c in row)]
+    rows = rows[1:] if has_header else rows
+    features = [[float(c.strip()) for j, c in enumerate(row) if j != label_idx] for row in rows]
+    return np.array(features, dtype=np.float64), [row[label_idx].strip() for row in rows]
+
+
+class TestLoadCsvAgainstPerCellFloat:
+    @staticmethod
+    def cell_texts(rng, n):
+        """Feature cells in many spellings float() accepts."""
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        values[:6] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+        spellings = [
+            repr,
+            lambda v: f"{v:.17g}",
+            lambda v: f"{v:.3e}",
+            lambda v: f"  {v!r} ",
+            lambda v: f"\t{v!r}",
+            lambda v: f'"{v!r}"',
+            lambda v: f'" {v!r}\t"',
+            lambda v: f"\u00a0{v!r}\u2003",
+        ]
+        cells = [spellings[i % len(spellings)](v) for i, v in enumerate(values.tolist())]
+        return cells + ["1_0", "7", "+3.5", ".5", "5.", "1E3", "-0", " 1.0 "]
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("label_idx", [0, 2, 5])
+    def test_features_bitwise_equal(self, tmp_path, has_header, label_idx):
+        rng = np.random.default_rng(label_idx + 10 * has_header)
+        cells = self.cell_texts(rng, 5 * 64 - 8)
+        rows = [cells[i:i + 5] for i in range(0, len(cells), 5)]
+        lines = ["a,b,c,d,e,cls"] if has_header else []
+        for i, row in enumerate(rows):
+            label = ["A", " B ", '"C"'][i % 3]
+            lines.append(",".join(row[:label_idx] + [label] + row[label_idx:]))
+            if i % 7 == 0:
+                lines.append("")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        data = load_csv(path, label_column=label_idx, has_header=has_header)
+        features, label_cells = per_cell_reference(path, label_idx, has_header)
+        assert data.features.shape == (len(rows), 5)
+        assert data.features.tobytes() == features.tobytes()
+        assert data.class_names == ("A", "B", "C")
+        assert [data.class_names[i] for i in data.labels] == label_cells
+
+    def test_named_label_column(self, tmp_path):
+        path = write(tmp_path, "x, cls ,y\n 1.5 ,A,2\n3,B, 4e0\n")
+        data = load_csv(path, label_column="cls", has_header=True)
+        assert data.features.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+        assert data.class_names == ("A", "B")
+
+
+class TestLoadCsvErrors:
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("oops,C", "non-numeric value 'oops' at row {line}, column 1"),
+            (" oops ,C", "non-numeric value 'oops' at row {line}, column 1"),
+            (",C", "non-numeric value '' at row {line}, column 1"),
+            ("0x10,C", "non-numeric value '0x10' at row {line}, column 1"),
+            ("nan,C", "non-finite value at row {line}, column 1"),
+            ("-inf,C", "non-finite value at row {line}, column 1"),
+            ("1.0,2.0,C", "row {line} has 3 columns, expected 2"),
+            ("1.0, ", "empty label at row {line}"),
+        ],
+    )
+    def test_message_names_the_file_line(self, tmp_path, has_header, bad_row, message):
+        # two blank lines sit before the bad row, which is on file line 5 (6 with a header)
+        text = ("x,cls\n" if has_header else "") + f"1.0,A\n\n\n2.0,B\n{bad_row}\n3.0,A\n"
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError) as info:
+            load_csv(path, has_header=has_header)
+        assert str(info.value) == f"{path}: " + message.format(line=5 + has_header)
+
+    @pytest.mark.parametrize(
+        "label_idx, bad_row, column",
+        [
+            (0, "B,1.0,oops", 3),
+            (0, "B,oops,1.0", 2),
+            (1, "oops,B,1.0", 1),
+            (1, "1.0,B,oops", 3),
+            (2, "1.0,oops,B", 2),
+        ],
+    )
+    def test_column_counts_the_label_column(self, tmp_path, label_idx, bad_row, column):
+        good = ["A", "1.0", "2.0"]
+        good.insert(label_idx, good.pop(0))
+        path = write(tmp_path, ",".join(good) + "\n" + bad_row + "\n")
+        with pytest.raises(ValueError, match=rf"'oops' at row 2, column {column}$"):
+            load_csv(path, label_column=label_idx)
+        inf_path = write(tmp_path, ",".join(good) + "\n" + bad_row.replace("oops", "inf") + "\n",
+                         name="inf.csv")
+        with pytest.raises(ValueError, match=rf"non-finite value at row 2, column {column}$"):
+            load_csv(inf_path, label_column=label_idx)
+
+    def test_first_bad_cell_of_the_row_is_named(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0,3.0,A\n4.0,x,y,B\n")
+        with pytest.raises(ValueError, match=r"'x' at row 2, column 2$"):
+            load_csv(path)
 
 
 class TestDatasetInvariants:

@@ -7,7 +7,7 @@ import pytest
 
 from aeknn import synth
 from aeknn.autoencoder import TrainConfig
-from aeknn.dataset import Dataset, fit_normalizer, make_folds
+from aeknn.dataset import Dataset, NormalizationStats, fit_normalizer, make_folds
 from aeknn.knn import KnnModel, classify_batch
 from aeknn.metrics import ConfusionMatrix, accuracy
 from aeknn import pipeline
@@ -69,6 +69,20 @@ class TestRunFold:
         small = run_fold(train, test_small, cfg)
         large = run_fold(train, test_large, cfg)
         assert np.array_equal(small.predictions, large.predictions[:20])
+
+    def test_each_fold_is_normalized_once(self, monkeypatch):
+        applied = []
+        real_apply = NormalizationStats.apply
+
+        def counting_apply(stats, matrix):
+            applied.append(np.asarray(matrix).shape[0])
+            return real_apply(stats, matrix)
+
+        monkeypatch.setattr(NormalizationStats, "apply", counting_apply)
+        data = blob_data(seed=5)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        run_fold(data.subset(np.arange(80)), data.subset(np.arange(80, 120)), cfg)
+        assert applied == [80, 40]
 
     def test_error_rate_equals_one_minus_accuracy(self):
         data = blob_data(seed=4)
