@@ -1,16 +1,36 @@
 """Exact k-nearest-neighbor classification with majority vote.
 
-Search is a full scan under Euclidean distance, blocked so that its memory
-is bounded: query rows go in blocks whose distance rows take at most
-`_BLOCK_BYTES` (1 MiB), each block is filled from tiles of squared
-differences of at most the same size, and each row's k nearest are kept
-before the next block is scanned. With up to 131072 references and 131072
-features (so that one distance row, and one query-reference difference,
-fit the budget), one call holds about 2 MiB of scratch, besides its (q, k)
-results and the top-k candidate arrays, which grow towards block size only
-when most distances of a block tie. Distances come from explicit
-differences (not the expanded-square identity) summed over the contiguous
-last axis of each tile, so they are bitwise those of
+Two searches give the same bits; which one runs changes only the time.
+
+Inputs up to `_TREE_MAX_DIM` (32) features wide, with every coordinate of
+the references and of the batch at most `_TREE_MAX_ABS` (1e150) in
+magnitude, go through a kd-tree screen (`_search_tree`). A
+`scipy.spatial.cKDTree` over the references is built on first use and kept
+on the `KnnModel`, so a loop of single-query calls does not rebuild it. One
+tree query proposes each row's k + 4 nearest references, and a
+certificate, derived in `_search_tree`, says whether they hold every
+reference the exact answer can contain, ties at the k-th distance included.
+The proposals of a certified row are re-ranked with the scan's arithmetic;
+a row the certificate cannot vouch for falls back to the scan, alone. A
+kd-tree pays where the width is small (Friedman, Bentley & Finkel, 1977).
+Wider inputs stay on the scan for now: on uniform data at 64 and 256
+features a tree lost to a GEMM-based screen, which is not built yet.
+Besides its (q, k) results and the tree query's (q, k + 4) proposals, the
+screen holds the tree's O(n_ref) index and a re-rank scratch of at most
+`_BLOCK_BYTES`.
+
+Every other input goes through a full scan under Euclidean distance
+(`_search_scan`), blocked so that its memory is bounded: query rows go in
+blocks whose distance rows take at most `_BLOCK_BYTES` (1 MiB), each block
+is filled from tiles of squared differences of at most the same size, and
+each row's k nearest are kept before the next block is scanned. With up to
+131072 references and 131072 features (so that one distance row, and one
+query-reference difference, fit the budget), one call holds about 2 MiB of
+scratch, besides its (q, k) results and the top-k candidate arrays, which
+grow towards block size only when most distances of a block tie.
+
+Both compute distances from explicit differences (not the expanded-square
+identity) summed over the contiguous last axis, so they are bitwise those of
 sqrt(((q[:, None] - r[None]) ** 2).sum(axis=2)) and a query equal to a
 reference is at exactly zero. `neighbors`, `classify` and
 `classify_batch` share one search and one vectorized vote. Every tie has a
@@ -22,8 +42,10 @@ then to the lower class index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = ["KnnModel", "Prediction", "neighbors", "classify", "classify_batch"]
 
@@ -31,6 +53,13 @@ __all__ = ["KnnModel", "Prediction", "neighbors", "classify", "classify_batch"]
 _BLOCK_BYTES = 1 << 20
 # columns per strided group of the top-k screen
 _SCREEN_WIDTH = 16
+# widest input the kd-tree screen serves
+_TREE_MAX_DIM = 32
+# proposals per row beyond k, so that a row's k-th distance can be certified
+_TREE_EXTRA = 4
+# largest coordinate magnitude the tree screen takes: 32 squared differences
+# of at most 2e150 sum to about 1.3e302, so no distance overflows
+_TREE_MAX_ABS = 1e150
 
 
 @dataclass(frozen=True)
@@ -66,6 +95,18 @@ class KnnModel:
     def dim(self) -> int:
         return self.references.shape[1]
 
+    @cached_property
+    def _tree(self) -> cKDTree | None:
+        """kd-tree over the references, built on first use and kept; None
+        where the references are too wide, or too large, for the tree
+        screen."""
+        refs = self.references
+        if not 1 <= refs.shape[1] <= _TREE_MAX_DIM:
+            return None
+        if max(refs.max(), -refs.min()) > _TREE_MAX_ABS:
+            return None
+        return cKDTree(refs, copy_data=False)
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -93,7 +134,84 @@ def _check_queries(model: KnnModel, queries, single: bool) -> np.ndarray:
 
 def _search(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances (both (q, k)) of every query's k nearest
-    references, equal to a stable argsort of the full distance rows.
+    references, equal to a stable argsort of the full distance rows: the
+    kd-tree screen where it applies, else the scan."""
+    if (
+        len(queries)
+        and model._tree is not None
+        and max(queries.max(), -queries.min()) <= _TREE_MAX_ABS
+    ):
+        return _search_tree(model, queries)
+    return _search_scan(model, queries)
+
+
+def _search_tree(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_search_scan`'s result, from the kd-tree's k + 4 proposals per row.
+
+    Certificate. Let E be a pair's exact distance, D the one the scan
+    computes and T the tree's; the tree's search (eps = 0) is exact in its
+    own arithmetic. Both round each of the d differences and
+    squares (relative error u = eps / 2 each), sum d non-negative terms in
+    some order (at most (d - 1)u; Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3) and take a square root, which halves that
+    and adds u. So D and T lie within a factor 1 +- delta of E, with delta
+    about (d + 4)u / 2 = (d + 4)eps / 4. The k references of smallest T have
+    D <= T_k(1 + delta)/(1 - delta), so the row's k-th scan distance D_k is
+    at most that, and every reference with D <= D_k, ties included, has
+    T <= T_k((1 + delta)/(1 - delta))^2, about T_k(1 + (d + 4)eps).
+    The bound T_k(1 + 4(d + 4)eps) keeps a factor 4 in hand for
+    higher-order terms; it also covers a square root that maps two different
+    sums to one double. Squares below the smallest normal double lose up to
+    2^-1075 absolutely instead: at most d * 2^-1075 on a squared distance,
+    so about 1e-161 on a distance at d <= 32, which the added 1e-150 covers.
+    The magnitude guard keeps every sum finite.
+
+    The query returns the k + 4 references of smallest T. If the last of
+    them lies beyond the bound, every reference within it was returned, and
+    re-ranking the proposals by D gives the exact answer. Otherwise the row
+    may have more candidates than the query returned, and it takes the scan.
+    When k + 4 >= n_ref every reference was returned, so no row falls back,
+    even when every distance ties.
+
+    The re-rank is the scan's arithmetic: subtract, square, sum over the
+    contiguous last axis, square root; then sort by (row, distance, index)
+    and keep k. Rows are gathered in blocks whose (rows, k + 4, d) scratch
+    fits `_BLOCK_BYTES`.
+    """
+    refs, k = model.references, model.k
+    n_ref, dim = refs.shape
+    n_q = len(queries)
+    width = min(k + _TREE_EXTRA, n_ref)
+    tree_dist, proposed = model._tree.query(queries, k=width)
+    tree_dist = tree_dist.reshape(n_q, width)
+    proposed = proposed.reshape(n_q, width)
+    indices = np.empty((n_q, k), dtype=np.intp)
+    distances = np.empty((n_q, k))
+    fallback = np.zeros(n_q, dtype=bool)
+    if width < n_ref:
+        bound = tree_dist[:, k - 1] * (1 + 4 * (dim + 4) * np.finfo(np.float64).eps) + 1e-150
+        fallback = tree_dist[:, -1] <= bound
+    if fallback.any():
+        rows = np.flatnonzero(fallback)
+        indices[rows], distances[rows] = _search_scan(model, queries[rows])
+    certified = np.flatnonzero(~fallback)
+    block_rows = max(1, _BLOCK_BYTES // (8 * width * dim))
+    for start in range(0, len(certified), block_rows):
+        rows = certified[start : start + block_rows]
+        cols = proposed[rows]
+        diff = refs[cols]
+        np.subtract(queries[rows][:, None, :], diff, out=diff)
+        np.square(diff, out=diff)
+        dist = np.sqrt(diff.sum(axis=2))
+        order = np.lexsort((cols, dist))[:, :k]
+        indices[rows] = np.take_along_axis(cols, order, axis=1)
+        distances[rows] = np.take_along_axis(dist, order, axis=1)
+    return indices, distances
+
+
+def _search_scan(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances (both (q, k)) of every query's k nearest
+    references, from a scan of every distance.
 
     Query rows go in blocks whose distance rows fit `_BLOCK_BYTES`. Each
     block is filled from (query rows x reference columns x features) tiles

@@ -33,6 +33,11 @@ def blob_csvs(tmp_path):
     return paths
 
 
+def blas_thread_counts():
+    """Thread count of every OpenBLAS this process has loaded."""
+    return [get() for get, _ in pipeline._openblas_thread_counts()]
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
@@ -201,6 +206,13 @@ class TestEval:
         assert names == sorted(os.listdir(par / "folds")) and len(names) == 6
         for name in names:
             assert (seq / "folds" / name).read_bytes() == (par / "folds" / name).read_bytes()
+
+    def test_workers_run_one_blas_thread(self):
+        if not blas_thread_counts():
+            pytest.skip("no OpenBLAS loaded")
+        with cli._worker_pool(1) as pool:
+            counts = pool.submit(blas_thread_counts).result(timeout=60)
+        assert counts and set(counts) == {1}
 
     def test_each_dataset_parsed_and_planned_once(self, blob_csvs, tmp_path, monkeypatch):
         calls = {"load_csv": [], "make_folds": 0}

@@ -279,7 +279,7 @@ def broadcast_reference(references, queries):
 
 class TestBitwiseAgainstBroadcastFormula:
     @pytest.mark.parametrize("block_bytes", [None, 2048])
-    @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 129, 256, 300])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 31, 32, 33, 129, 256, 300])
     def test_labels_fractions_indices_and_distance_bits(self, width, block_bytes, monkeypatch):
         if block_bytes is not None:
             # many blocks and tiles with ragged edges
@@ -318,3 +318,144 @@ def test_classify_batch_memory_is_bounded_at_musk_shape():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def scan_predictions(model, queries):
+    """What the scan alone predicts, the reference for the tree screen."""
+    return knn._vote(model, *knn._search_scan(model, queries))
+
+
+@st.composite
+def tree_screen_problems(draw):
+    """Narrow references where the tree screen's certificate is tested hard:
+    exact ties on integer grids; permuted coordinates, whose exact distances
+    to a constant query tie but whose rounded ones differ in the last bits
+    with the order of summation; near-duplicates a few ulps apart, offset or
+    not; subnormal and underflowing squared differences; and coordinates
+    the magnitude guard sends to the scan. k runs from 1 to n_ref."""
+    kind = draw(st.sampled_from(["grid", "permuted", "ulp", "offset", "tiny", "huge"]))
+    d = draw(st.integers(1, 33))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_q = int(rng.integers(1, 8))
+    if kind == "grid":
+        distinct = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(np.float64)
+        references = distinct[rng.integers(0, len(distinct), size=n)]
+        queries = rng.integers(-2, 3, size=(n_q, d)).astype(np.float64)
+    elif kind == "permuted":
+        offset, scale = draw(st.sampled_from([(0.0, 1.0), (1e4, 1.0), (0.0, 1e-158)]))
+        references = rng.permuted(np.tile(rng.normal(size=d), (n, 1)), axis=1) * scale + offset
+        queries = np.full((n_q, d), offset) + rng.normal(size=(n_q, 1)) * scale
+    else:
+        scale = {
+            "ulp": 1.0,
+            "offset": 1.0,
+            "tiny": draw(st.sampled_from([1e-155, 1e-158, 1e-160, 1e-200])),
+            "huge": draw(st.sampled_from([2e150, 1e200, 1e300])),
+        }[kind]
+        base = rng.normal(size=(int(rng.integers(1, 6)), d)) * scale
+        if kind == "offset":
+            base += 1e4
+        # near-duplicates: a few ulps away from the drawn rows
+        references = base[rng.integers(0, len(base), size=n)]
+        references += rng.integers(-2, 3, size=references.shape) * np.spacing(references)
+        queries = base[rng.integers(0, len(base), size=n_q)]
+        queries += rng.integers(-2, 3, size=queries.shape) * np.spacing(queries)
+    n_classes = draw(st.integers(1, 4))
+    labels = rng.integers(0, n_classes, size=n)
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    return references, labels, n_classes, k, queries
+
+
+class TestTreeScreenAgainstScan:
+    @settings(max_examples=400, deadline=None)
+    @given(tree_screen_problems())
+    def test_same_bits_as_the_scan(self, problem):
+        references, labels, n_classes, k, queries = problem
+        model = KnnModel(references=references, labels=labels, k=k, n_classes=n_classes)
+        with np.errstate(over="ignore"):
+            got = classify_batch(model, queries)
+            want = scan_predictions(model, queries)
+        for pred, ref in zip(got, want):
+            assert pred.label == ref.label
+            assert pred.vote_fractions.tobytes() == ref.vote_fractions.tobytes()
+            assert np.array_equal(pred.neighbor_indices, ref.neighbor_indices)
+            assert pred.neighbor_distances.tobytes() == ref.neighbor_distances.tobytes()
+
+    def test_coordinates_past_the_guard_take_the_scan(self, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("the tree screen ran")
+
+        monkeypatch.setattr(knn, "_search_tree", no_tree)
+        labels = np.array([0, 1, 0, 1])
+        big = np.array([[2e150], [-1e300], [3.0], [0.0]])
+        with np.errstate(over="ignore"):
+            # large references, or a large query, or too wide, or an empty batch
+            classify_batch(KnnModel(references=big, labels=labels, k=2), np.zeros((3, 1)))
+            small = KnnModel(references=big[2:], labels=labels[2:], k=1)
+            classify_batch(small, np.array([[1.0], [2e150]]))
+        wide = KnnModel(references=np.eye(33), labels=np.zeros(33, dtype=int), k=1)
+        classify_batch(wide, np.zeros((2, 33)))
+        assert classify_batch(small, np.zeros((0, 1))) == []
+
+    def test_all_references_equal_fall_back_row_by_row(self, monkeypatch):
+        # every distance of a row ties, so the k + 4 proposals cannot certify
+        # the k-th; each row must reach the scan, which alone knows the
+        # lower-index rule over all 60 ties
+        scanned = []
+        real_scan = knn._search_scan
+
+        def recording_scan(model, queries):
+            scanned.append(len(queries))
+            return real_scan(model, queries)
+
+        monkeypatch.setattr(knn, "_search_scan", recording_scan)
+        references = np.tile([0.5, -1.0, 2.0], (60, 1))
+        labels = np.arange(60) % 3
+        queries = np.array([[0.5, -1.0, 2.0], [1.0, 1.0, 1.0], [-3.0, 0.0, 7.0]])
+        for k in (1, 5, 55):
+            scanned.clear()
+            model = KnnModel(references=references, labels=labels, k=k, n_classes=3)
+            got = classify_batch(model, queries)
+            assert scanned == [3]
+            want = rule_oracle(broadcast_reference(references, queries), labels, 3, k)
+            for pred, (label, fractions, order, row_dist) in zip(got, want):
+                assert pred.label == label
+                assert pred.vote_fractions.tobytes() == fractions.tobytes()
+                assert np.array_equal(pred.neighbor_indices, order)
+                assert pred.neighbor_distances.tobytes() == row_dist.tobytes()
+        # with k + 4 >= n_ref the query returns every reference: no fallback
+        scanned.clear()
+        classify_batch(KnnModel(references=references, labels=labels, k=56), queries)
+        assert scanned == []
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_tree_screen_memory_is_bounded_at_a_tall_narrow_shape():
+    # 200000 x 8 references (12.8 MB) and 2000 queries; the tree is built in
+    # the traced region, so a copy of the references would show. The tree's
+    # C++ nodes are not allocated through Python and are not counted.
+    rng = np.random.default_rng(8)
+    model = KnnModel(
+        references=rng.random((200000, 8)), labels=rng.integers(0, 3, size=200000), k=5
+    )
+    queries = rng.random((2000, 8))
+    assert traced_peak(lambda: classify_batch(model, queries)) < 8 * 2**20
+
+
+def test_tree_screen_memory_is_bounded_when_every_distance_ties():
+    # every row falls back to the scan over 20000 equal references
+    model = KnnModel(
+        references=np.ones((20000, 8)), labels=np.arange(20000) % 3, k=5
+    )
+    queries = np.random.default_rng(9).random((200, 8))
+    assert traced_peak(lambda: classify_batch(model, queries)) < 8 * 2**20
