@@ -38,8 +38,6 @@ __all__ = [
     "train_layer",
     "build_stack",
     "encode",
-    "save_stack",
-    "load_stack",
 ]
 
 
@@ -299,7 +297,7 @@ class AutoencoderStack:
     """Ordered encoder layers; decoders existed only during training.
 
     The empty stack is the identity map. `loss_histories` keeps each layer's
-    per-epoch training losses (not part of the serialized format).
+    per-epoch training losses (`reducers.save_reducer` does not write them).
     """
 
     layers: tuple[EncoderLayer, ...]
@@ -361,36 +359,3 @@ def encode(stack: AutoencoderStack, x: np.ndarray) -> np.ndarray:
         batch = layer.apply(batch)
     return batch[0] if single else batch
 
-
-_STACK_FORMAT_VERSION = 1
-
-
-def save_stack(stack: AutoencoderStack, path) -> None:
-    """Versioned binary serialization; weights round-trip bitwise."""
-    payload = {
-        "format_version": np.int64(_STACK_FORMAT_VERSION),
-        "input_dim": np.int64(stack.input_dim),
-        "n_layers": np.int64(len(stack.layers)),
-    }
-    for i, layer in enumerate(stack.layers):
-        payload[f"w_{i}"] = layer.w
-        payload[f"b_{i}"] = layer.b
-        payload[f"act_{i}"] = np.str_(layer.activation.value)
-    np.savez(path, **payload)
-
-
-def load_stack(path) -> AutoencoderStack:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != _STACK_FORMAT_VERSION:
-            raise ValueError(f"unsupported stack format version {version}")
-        n_layers = int(data["n_layers"])
-        layers = tuple(
-            EncoderLayer(
-                w=data[f"w_{i}"],
-                b=data[f"b_{i}"],
-                activation=ActivationKind(str(data[f"act_{i}"])),
-            )
-            for i in range(n_layers)
-        )
-        return AutoencoderStack(layers=layers, input_dim=int(data["input_dim"]))

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .autoencoder import TrainConfig
 from .dataset import Dataset, FoldPlan, load_csv, make_folds
-from .pipeline import PipelineConfig, _openblas_thread_counts, run_cv
+from .pipeline import PipelineConfig, run_cv
 from .stats import ResultMatrix, friedman, wilcoxon_signed_rank
 
 METRICS = ("accuracy", "fscore", "auc", "time")
@@ -261,22 +261,6 @@ def _run_cell(data: Dataset, plan: FoldPlan, cfg: PipelineConfig, positive: int)
     }
 
 
-def _hold_one_blas_thread() -> None:
-    """Worker initializer: hold every OpenBLAS the worker has loaded to one
-    thread. Two workers with a two-thread OpenBLAS each spin on a two-CPU
-    host; the paper's ppl sweep took 92-107 s at --jobs 2 against 27 s at
-    --jobs 1."""
-    for _, set_threads in _openblas_thread_counts():
-        set_threads(1)
-
-
-def _worker_pool(jobs: int) -> concurrent.futures.ProcessPoolExecutor:
-    """The --jobs worker processes, each on a one-thread OpenBLAS."""
-    return concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_hold_one_blas_thread
-    )
-
-
 class _InlineExecutor(concurrent.futures.Executor):
     """Runs each submitted call at once in this process (--jobs 1)."""
 
@@ -315,7 +299,11 @@ def cmd_eval(args) -> int:
     # and every configuration's cell runs on that shared pair
     plans: dict[str, FoldPlan] = {}
     futures: dict[tuple[str, str], concurrent.futures.Future] = {}
-    pool = _worker_pool(spec.jobs) if spec.jobs > 1 else _InlineExecutor()
+    pool = (
+        concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs)
+        if spec.jobs > 1
+        else _InlineExecutor()
+    )
     with pool:
         for path, ds in zip(spec.datasets, dataset_names):
             try:

@@ -12,10 +12,14 @@ the training rows, i.e. building the classification model), encode (test
 rows only) and classify (the kNN scan). "Classification time" in aggregated
 results means encode + classify.
 
-Both encodes run with the process's OpenBLAS held to one thread. They are
-small products, and after a threaded product OpenBLAS's workers busy-wait
-for about 0.1 s; on a two-CPU host that spin halved the speed of the kNN
-scan timed right after the training fold's encode.
+Each fold runs whole (fit and training, both encodes, kNN) with every loaded
+OpenBLAS held to one thread, whether it runs in the main process or in an
+`eval --jobs` worker, so seeded results do not depend on the host's CPU
+count. Training's batch products and the encodes gain nothing from threads,
+and after a threaded product OpenBLAS's workers busy-wait for about 0.1 s:
+on a two-CPU host that spin halved the speed of the kNN scan timed right
+after the training fold's encode, and two --jobs workers with a two-thread
+OpenBLAS each ran the paper's ppl sweep four times slower.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ _blas_lock = threading.Lock()
 
 @contextmanager
 def _one_blas_thread():
-    """Hold every loaded OpenBLAS to one thread, then restore its count."""
+    """Hold every loaded OpenBLAS to one thread, then restore its count.
+    Not reentrant: nothing called inside the hold may take it again."""
     with _blas_lock:
         saved = [(set_, get()) for get, set_ in _openblas_thread_counts()]
         for set_, _ in saved:
@@ -106,6 +111,10 @@ class PipelineConfig:
             raise ValueError("autoencoder configuration needs a non-empty ppl")
         if any(f <= 0 for f in ppl):
             raise ValueError("ppl fractions must be positive")
+        if self.reducer in ("pca", "lda") and self.target_dim is None and len(ppl) != 1:
+            raise ValueError(
+                f"{self.reducer} takes target_dim or a single ppl fraction, got {ppl}"
+            )
         object.__setattr__(self, "ppl", ppl)
 
     def label(self) -> str:
@@ -153,8 +162,10 @@ class FoldResult:
 def fit_fold_model(train: Dataset | "object", cfg: PipelineConfig):
     """Fit everything the training fold determines: normalization stats (or
     None) and the reducer. Exposed separately so leak-freedom is checkable:
-    the test fold is not an input."""
-    stats, reducer, _ = _fit_fold(train, cfg)
+    the test fold is not an input. Fits on one BLAS thread, as `run_fold`
+    does."""
+    with _one_blas_thread():
+        stats, reducer, _ = _fit_fold(train, cfg)
     return stats, reducer
 
 
@@ -190,27 +201,26 @@ def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
         raise ValueError("train and test folds disagree on the class universe")
     n_classes = train.n_classes
 
-    t0 = time.perf_counter()
-    stats, reducer, train_matrix = _fit_fold(train, cfg)
     with _one_blas_thread():
+        t0 = time.perf_counter()
+        stats, reducer, train_matrix = _fit_fold(train, cfg)
         encoded_train = reducer.transform(train_matrix)
-    fit_seconds = time.perf_counter() - t0
+        fit_seconds = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    test_matrix = stats.apply(test.features) if stats is not None else test.features
-    with _one_blas_thread():
+        t0 = time.perf_counter()
+        test_matrix = stats.apply(test.features) if stats is not None else test.features
         encoded_test = reducer.transform(test_matrix)
-    encode_seconds = time.perf_counter() - t0
+        encode_seconds = time.perf_counter() - t0
 
-    model = KnnModel(
-        references=encoded_train,
-        labels=train.labels,
-        k=min(cfg.k, train.n_samples),
-        n_classes=n_classes,
-    )
-    t0 = time.perf_counter()
-    predictions = classify_batch(model, encoded_test)
-    classify_seconds = time.perf_counter() - t0
+        model = KnnModel(
+            references=encoded_train,
+            labels=train.labels,
+            k=min(cfg.k, train.n_samples),
+            n_classes=n_classes,
+        )
+        t0 = time.perf_counter()
+        predictions = classify_batch(model, encoded_test)
+        classify_seconds = time.perf_counter() - t0
 
     labels = np.array([p.label for p in predictions], dtype=np.int64)
     scores = (

@@ -1,7 +1,11 @@
-"""Dimensionality reducers behind one fit/transform interface.
+"""Fitted dimensionality reducers and their one serializer.
 
 Four kinds: the trained autoencoder stack, principal-component projection,
 linear discriminant projection and the identity (the plain-kNN baseline).
+Each is a frozen dataclass that exists only once fitted: `fit_pca`,
+`fit_lda` and `fit_reducer` build them, and every later step reads only
+`transform` and `effective_dim`.
+
 PCA and LDA are solved with LAPACK's symmetric eigensolver (`np.linalg.eigh`).
 Seeded fits repeat bitwise on one machine and BLAS build; across machines or
 BLAS builds the last bits may differ. A fixed sign convention
@@ -15,12 +19,15 @@ what a fitted reducer actually emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from .autoencoder import (
+    ActivationKind,
     AutoencoderStack,
+    EncoderLayer,
     TrainConfig,
     build_stack,
     encode,
@@ -29,8 +36,6 @@ from .autoencoder import (
 
 __all__ = [
     "jacobi_eigh",
-    "PcaModel",
-    "LdaModel",
     "fit_pca",
     "fit_lda",
     "Reducer",
@@ -55,7 +60,7 @@ def jacobi_eigh(matrix: np.ndarray):
 
     The name predates LAPACK: `bench/spans.py` traces this function by name,
     so the rename waits until stage timings are recorded inside the program
-    (ROADMAP item 2).
+    (ROADMAP item 1).
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -80,27 +85,47 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components
 
 
+def _features(matrix, width: int) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.shape[-1] != width:
+        raise ValueError("feature-count mismatch")
+    return matrix
+
+
 @dataclass(frozen=True)
-class PcaModel:
+class IdentityReducer:
+    """The plain-kNN baseline: rows pass through unchanged."""
+
+    dim: int
+    kind: ClassVar[str] = "identity"
+
+    @property
+    def effective_dim(self) -> int:
+        return self.dim
+
+    def transform(self, matrix: np.ndarray) -> np.ndarray:
+        return _features(matrix, self.dim)
+
+
+@dataclass(frozen=True)
+class PcaReducer:
     """Mean and top eigenvectors of the training covariance, plus the full
     eigenvalue spectrum (descending)."""
 
     mean: np.ndarray
     components: np.ndarray  # (n_features, target_dim), orthonormal columns
     eigenvalues: np.ndarray
+    kind: ClassVar[str] = "pca"
 
     @property
-    def target_dim(self) -> int:
+    def effective_dim(self) -> int:
         return self.components.shape[1]
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape[-1] != self.mean.shape[0]:
-            raise ValueError("feature-count mismatch")
-        return (matrix - self.mean) @ self.components
+        return (_features(matrix, self.mean.shape[0]) - self.mean) @ self.components
 
 
-def fit_pca(train: np.ndarray, target_dim: int) -> PcaModel:
+def fit_pca(train: np.ndarray, target_dim: int) -> PcaReducer:
     """Covariance eigendecomposition keeping the top `target_dim` components."""
     train = np.asarray(train, dtype=np.float64)
     if train.ndim != 2 or train.shape[0] < 2:
@@ -112,7 +137,7 @@ def fit_pca(train: np.ndarray, target_dim: int) -> PcaModel:
     centered = train - mean
     cov = centered.T @ centered / (n - 1)
     eigenvalues, vectors = jacobi_eigh(cov)
-    return PcaModel(
+    return PcaReducer(
         mean=mean,
         components=_fix_signs(vectors[:, :target_dim]),
         eigenvalues=eigenvalues,
@@ -120,27 +145,24 @@ def fit_pca(train: np.ndarray, target_dim: int) -> PcaModel:
 
 
 @dataclass(frozen=True)
-class LdaModel:
+class LdaReducer:
     """Discriminant directions from the generalized eigenproblem of
     between-class versus (regularized) within-class scatter."""
 
     mean: np.ndarray
-    class_means: np.ndarray
     projection: np.ndarray  # (n_features, effective_dim)
     eigenvalues: np.ndarray
+    kind: ClassVar[str] = "lda"
 
     @property
     def effective_dim(self) -> int:
         return self.projection.shape[1]
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape[-1] != self.mean.shape[0]:
-            raise ValueError("feature-count mismatch")
-        return (matrix - self.mean) @ self.projection
+        return (_features(matrix, self.mean.shape[0]) - self.mean) @ self.projection
 
 
-def fit_lda(train: np.ndarray, labels, target_dim: int) -> LdaModel:
+def fit_lda(train: np.ndarray, labels, target_dim: int) -> LdaReducer:
     """Fit discriminant directions.
 
     The within-class scatter is regularized by eps * I with
@@ -187,126 +209,27 @@ def fit_lda(train: np.ndarray, labels, target_dim: int) -> LdaModel:
     directions = np.linalg.solve(chol.T, vectors[:, :effective])
     norms = np.linalg.norm(directions, axis=0)
     directions = _fix_signs(directions / norms)
-    return LdaModel(
-        mean=mean,
-        class_means=class_means,
-        projection=directions,
-        eigenvalues=eigenvalues[:effective],
-    )
+    return LdaReducer(mean=mean, projection=directions, eigenvalues=eigenvalues[:effective])
 
 
-class Reducer:
-    """fit/transform interface shared by every reducer kind."""
+@dataclass(frozen=True)
+class AeReducer:
+    """A trained autoencoder stack. The layer layout comes from `ppl`
+    (fractions of the original feature count)."""
 
-    kind: str = ""
+    ppl: tuple[float, ...]
+    stack: AutoencoderStack
+    kind: ClassVar[str] = "ae"
 
-    def fit(self, train: np.ndarray, labels, target_dim: int) -> "Reducer":
-        raise NotImplementedError
+    @property
+    def effective_dim(self) -> int:
+        return self.stack.output_dim
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def effective_dim(self) -> int:
-        raise NotImplementedError
-
-
-class IdentityReducer(Reducer):
-    kind = "identity"
-
-    def __init__(self):
-        self._dim: int | None = None
-
-    def fit(self, train, labels=None, target_dim: int | None = None):
-        train = np.asarray(train, dtype=np.float64)
-        self._dim = train.shape[1]
-        return self
-
-    def transform(self, matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if self._dim is not None and matrix.shape[-1] != self._dim:
-            raise ValueError("feature-count mismatch")
-        return matrix
-
-    @property
-    def effective_dim(self) -> int:
-        if self._dim is None:
-            raise RuntimeError("reducer is not fitted")
-        return self._dim
-
-
-class PcaReducer(Reducer):
-    kind = "pca"
-
-    def __init__(self):
-        self.model: PcaModel | None = None
-
-    def fit(self, train, labels=None, target_dim: int = 1):
-        self.model = fit_pca(train, target_dim)
-        return self
-
-    def transform(self, matrix):
-        if self.model is None:
-            raise RuntimeError("reducer is not fitted")
-        return self.model.transform(matrix)
-
-    @property
-    def effective_dim(self) -> int:
-        if self.model is None:
-            raise RuntimeError("reducer is not fitted")
-        return self.model.target_dim
-
-
-class LdaReducer(Reducer):
-    kind = "lda"
-
-    def __init__(self):
-        self.model: LdaModel | None = None
-
-    def fit(self, train, labels, target_dim: int = 1):
-        if labels is None:
-            raise ValueError("LDA requires labels")
-        self.model = fit_lda(train, labels, target_dim)
-        return self
-
-    def transform(self, matrix):
-        if self.model is None:
-            raise RuntimeError("reducer is not fitted")
-        return self.model.transform(matrix)
-
-    @property
-    def effective_dim(self) -> int:
-        if self.model is None:
-            raise RuntimeError("reducer is not fitted")
-        return self.model.effective_dim
-
-
-class AeReducer(Reducer):
-    """Autoencoder stack behind the common interface. The layer layout comes
-    from `ppl` (fractions of the original feature count), not from the
-    target_dim argument, which is ignored."""
-
-    kind = "ae"
-
-    def __init__(self, ppl=(0.75,), train_cfg: TrainConfig | None = None):
-        self.ppl = tuple(float(f) for f in ppl)
-        self.train_cfg = train_cfg if train_cfg is not None else TrainConfig()
-        self.stack: AutoencoderStack | None = None
-
-    def fit(self, train, labels=None, target_dim: int | None = None):
-        self.stack = build_stack(train, self.ppl, self.train_cfg)
-        return self
-
-    def transform(self, matrix):
-        if self.stack is None:
-            raise RuntimeError("reducer is not fitted")
         return encode(self.stack, np.asarray(matrix, dtype=np.float64))
 
-    @property
-    def effective_dim(self) -> int:
-        if self.stack is None:
-            raise RuntimeError("reducer is not fitted")
-        return self.stack.output_dim
+
+Reducer = IdentityReducer | PcaReducer | LdaReducer | AeReducer
 
 
 def fit_reducer(
@@ -320,15 +243,18 @@ def fit_reducer(
     """Fit a reducer of the named kind ("identity", "ae", "pca" or "lda").
 
     For "pca"/"lda" the target dimension may be given directly or derived
-    from a single-entry `ppl` fraction of the feature count.
+    from a single-entry `ppl` fraction of the feature count. The "ae" layer
+    layout comes from `ppl`; `target_dim` does not apply to it.
     """
     train = np.asarray(train, dtype=np.float64)
     if kind == "identity":
-        return IdentityReducer().fit(train)
+        return IdentityReducer(train.shape[1])
     if kind == "ae":
         if ppl is None:
             raise ValueError("the autoencoder reducer needs a ppl layer spec")
-        return AeReducer(ppl=ppl, train_cfg=train_cfg).fit(train)
+        ppl = tuple(float(f) for f in ppl)
+        cfg = train_cfg if train_cfg is not None else TrainConfig()
+        return AeReducer(ppl=ppl, stack=build_stack(train, ppl, cfg))
     if kind in ("pca", "lda"):
         if target_dim is None:
             if ppl is None:
@@ -338,36 +264,27 @@ def fit_reducer(
                 raise ValueError(f"{kind} takes a single fraction, got {fractions}")
             target_dim = layer_size(train.shape[1], fractions[0])
         if kind == "pca":
-            target_dim = min(target_dim, train.shape[1])
-            return PcaReducer().fit(train, target_dim=target_dim)
-        return LdaReducer().fit(train, labels, target_dim=target_dim)
+            return fit_pca(train, min(target_dim, train.shape[1]))
+        if labels is None:
+            raise ValueError("LDA requires labels")
+        return fit_lda(train, labels, target_dim)
     raise ValueError(f"unknown reducer kind {kind!r}")
 
 
 _REDUCER_FORMAT_VERSION = 1
+_KINDS = {cls.kind: cls for cls in (IdentityReducer, PcaReducer, LdaReducer, AeReducer)}
 
 
 def save_reducer(reducer: Reducer, path) -> None:
-    """Serialize any fitted reducer, tagged by kind; weights round-trip bitwise."""
+    """Serialize any fitted reducer, tagged by kind; weights round-trip
+    bitwise. Identity, PCA and LDA are written field by field; an
+    autoencoder as its ppl, input width and one w_i/b_i/act_i triple per
+    layer."""
     payload: dict = {
         "format_version": np.int64(_REDUCER_FORMAT_VERSION),
         "kind": np.str_(reducer.kind),
     }
-    if isinstance(reducer, IdentityReducer):
-        payload["dim"] = np.int64(reducer.effective_dim)
-    elif isinstance(reducer, PcaReducer):
-        assert reducer.model is not None
-        payload["mean"] = reducer.model.mean
-        payload["components"] = reducer.model.components
-        payload["eigenvalues"] = reducer.model.eigenvalues
-    elif isinstance(reducer, LdaReducer):
-        assert reducer.model is not None
-        payload["mean"] = reducer.model.mean
-        payload["class_means"] = reducer.model.class_means
-        payload["projection"] = reducer.model.projection
-        payload["eigenvalues"] = reducer.model.eigenvalues
-    elif isinstance(reducer, AeReducer):
-        assert reducer.stack is not None
+    if isinstance(reducer, AeReducer):
         payload["ppl"] = np.asarray(reducer.ppl)
         payload["input_dim"] = np.int64(reducer.stack.input_dim)
         payload["n_layers"] = np.int64(len(reducer.stack.layers))
@@ -376,41 +293,22 @@ def save_reducer(reducer: Reducer, path) -> None:
             payload[f"b_{i}"] = layer.b
             payload[f"act_{i}"] = np.str_(layer.activation.value)
     else:
-        raise ValueError(f"cannot serialize reducer kind {reducer.kind!r}")
+        payload.update((f.name, getattr(reducer, f.name)) for f in fields(reducer))
     np.savez(path, **payload)
 
 
 def load_reducer(path) -> Reducer:
-    from .autoencoder import ActivationKind, EncoderLayer
-
+    """Rebuild a reducer written by `save_reducer`. Keys the reducer does not
+    read are ignored, so older files that also carry LDA class means load."""
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != _REDUCER_FORMAT_VERSION:
             raise ValueError(f"unsupported reducer format version {version}")
         kind = str(data["kind"])
-        if kind == "identity":
-            reducer = IdentityReducer()
-            reducer._dim = int(data["dim"])
-            return reducer
-        if kind == "pca":
-            reducer = PcaReducer()
-            reducer.model = PcaModel(
-                mean=data["mean"],
-                components=data["components"],
-                eigenvalues=data["eigenvalues"],
-            )
-            return reducer
-        if kind == "lda":
-            reducer = LdaReducer()
-            reducer.model = LdaModel(
-                mean=data["mean"],
-                class_means=data["class_means"],
-                projection=data["projection"],
-                eigenvalues=data["eigenvalues"],
-            )
-            return reducer
-        if kind == "ae":
-            reducer = AeReducer(ppl=tuple(float(f) for f in data["ppl"]))
+        cls = _KINDS.get(kind)
+        if cls is None:
+            raise ValueError(f"unknown reducer kind {kind!r}")
+        if cls is AeReducer:
             layers = tuple(
                 EncoderLayer(
                     w=data[f"w_{i}"],
@@ -419,6 +317,10 @@ def load_reducer(path) -> Reducer:
                 )
                 for i in range(int(data["n_layers"]))
             )
-            reducer.stack = AutoencoderStack(layers=layers, input_dim=int(data["input_dim"]))
-            return reducer
-    raise ValueError(f"unknown reducer kind {kind!r}")
+            return AeReducer(
+                ppl=tuple(float(f) for f in data["ppl"]),
+                stack=AutoencoderStack(layers=layers, input_dim=int(data["input_dim"])),
+            )
+        values = {f.name: data[f.name] for f in fields(cls)}
+        # 0-d arrays (the identity width) come back as Python scalars
+        return cls(**{name: v.item() if v.ndim == 0 else v for name, v in values.items()})

@@ -14,9 +14,7 @@ from aeknn.autoencoder import (
     gradients,
     init_layer,
     layer_size,
-    load_stack,
     reconstruction_loss,
-    save_stack,
     train_layer,
 )
 
@@ -386,24 +384,3 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(stack, np.zeros(4))
 
-
-class TestSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        data = np.random.default_rng(3).uniform(size=(20, 7))
-        stack = build_stack(data, (0.75, 0.5), TrainConfig(epochs=2, seed=5))
-        path = tmp_path / "stack.npz"
-        save_stack(stack, path)
-        loaded = load_stack(path)
-        assert loaded.input_dim == stack.input_dim
-        assert len(loaded.layers) == len(stack.layers)
-        for la, lb in zip(stack.layers, loaded.layers):
-            assert np.array_equal(la.w, lb.w)
-            assert np.array_equal(la.b, lb.b)
-            assert la.activation == lb.activation
-        assert np.array_equal(encode(loaded, data), encode(stack, data))
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, format_version=np.int64(99), input_dim=np.int64(1), n_layers=np.int64(0))
-        with pytest.raises(ValueError, match="version"):
-            load_stack(path)

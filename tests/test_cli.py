@@ -33,11 +33,6 @@ def blob_csvs(tmp_path):
     return paths
 
 
-def blas_thread_counts():
-    """Thread count of every OpenBLAS this process has loaded."""
-    return [get() for get, _ in pipeline._openblas_thread_counts()]
-
-
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
@@ -171,6 +166,14 @@ class TestEval:
     def test_requires_some_dataset(self, tmp_path):
         assert main(["eval", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
 
+    def test_multi_fraction_pca_is_a_usage_error(self, blob_csvs, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", blob_csvs[0], "--reducer", "pca", "--ppl", "0.5,0.25",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: pca takes target_dim or a single")
+        assert not out.exists()
+
     def test_fold_plan_sidecar_replays(self, blob_csvs, tmp_path):
         from aeknn.dataset import FoldPlan, load_csv, make_folds
 
@@ -206,13 +209,6 @@ class TestEval:
         assert names == sorted(os.listdir(par / "folds")) and len(names) == 6
         for name in names:
             assert (seq / "folds" / name).read_bytes() == (par / "folds" / name).read_bytes()
-
-    def test_workers_run_one_blas_thread(self):
-        if not blas_thread_counts():
-            pytest.skip("no OpenBLAS loaded")
-        with cli._worker_pool(1) as pool:
-            counts = pool.submit(blas_thread_counts).result(timeout=60)
-        assert counts and set(counts) == {1}
 
     def test_each_dataset_parsed_and_planned_once(self, blob_csvs, tmp_path, monkeypatch):
         calls = {"load_csv": [], "make_folds": 0}

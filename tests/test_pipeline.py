@@ -132,14 +132,27 @@ class TestRunFold:
             pytest.skip("no OpenBLAS with a thread-count API is loaded")
         seen = []
 
+        def record(stage):
+            seen.append((stage, [get() for get, _ in counts]))
+
         class Recording:
             effective_dim = 6
 
             def transform(self, matrix):
-                seen.append([get() for get, _ in counts])
+                record("encode")
                 return matrix
 
-        monkeypatch.setattr(pipeline, "fit_reducer", lambda *args, **kwargs: Recording())
+        def fit_reducer(*args, **kwargs):
+            record("fit")
+            return Recording()
+
+        def classify_batch(*args, **kwargs):
+            record("classify")
+            return real_classify(*args, **kwargs)
+
+        real_classify = pipeline.classify_batch
+        monkeypatch.setattr(pipeline, "fit_reducer", fit_reducer)
+        monkeypatch.setattr(pipeline, "classify_batch", classify_batch)
         saved = [get() for get, _ in counts]
         try:
             for _, set_ in counts:
@@ -151,8 +164,10 @@ class TestRunFold:
         finally:
             for (_, set_), threads in zip(counts, saved):
                 set_(threads)
-        # the training fold's encode, then the test fold's
-        assert seen == [[1] * len(counts)] * 2
+        # the reducer fit (and any training), the training fold's encode, the
+        # test fold's, then the kNN, all within one hold
+        one = [1] * len(counts)
+        assert seen == [("fit", one), ("encode", one), ("encode", one), ("classify", one)]
         assert after == [2] * len(counts)
 
     def test_one_blas_thread_restores_counts_under_concurrent_use(self):
@@ -243,6 +258,16 @@ class TestConfigValidation:
     def test_bad_ppl(self):
         with pytest.raises(ValueError):
             PipelineConfig(reducer="ae", ppl=(0.5, -1.0))
+
+    @pytest.mark.parametrize("reducer", ["pca", "lda"])
+    @pytest.mark.parametrize("ppl", [(0.5, 0.25), ()])
+    def test_projection_needs_one_fraction_without_target_dim(self, reducer, ppl):
+        with pytest.raises(ValueError, match="single ppl fraction"):
+            PipelineConfig(reducer=reducer, ppl=ppl)
+
+    @pytest.mark.parametrize("ppl", [(0.5, 0.25), ()])
+    def test_target_dim_overrides_ppl(self, ppl):
+        assert PipelineConfig(reducer="pca", ppl=ppl, target_dim=3).label() == "pca_3"
 
     def test_labels(self):
         assert PipelineConfig(reducer="identity").label() == "knn"

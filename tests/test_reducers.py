@@ -1,7 +1,12 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import aeknn
 from aeknn.autoencoder import TrainConfig
 from aeknn.reducers import (
     AeReducer,
@@ -305,22 +310,108 @@ class TestFitReducer:
             assert out.shape == (25, reducer.effective_dim)
 
 
+def one_of_each_kind(train):
+    """Identity, PCA, LDA and AE reducers fitted on a 24 x 6 matrix."""
+    labels = np.repeat([0, 1, 2], 8)
+    return [
+        fit_reducer("identity", train),
+        fit_reducer("pca", train, target_dim=3),
+        fit_reducer("lda", train, labels=labels, target_dim=2),
+        fit_reducer("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=3)),
+    ]
+
+
 class TestSerialization:
     def test_round_trip_every_kind(self, tmp_path):
         rng = np.random.default_rng(11)
-        train = rng.uniform(size=(24, 6))
-        labels = np.repeat([0, 1, 2], 8)
-        reducers = [
-            fit_reducer("identity", train),
-            fit_reducer("pca", train, target_dim=3),
-            fit_reducer("lda", train, labels=labels, target_dim=2),
-            fit_reducer("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=3)),
+        reducers = one_of_each_kind(rng.uniform(size=(24, 6)))
+        # the keys of format version 1, as earlier versions of this module wrote them
+        header = {"format_version", "kind"}
+        keys = [
+            header | {"dim"},
+            header | {"mean", "components", "eigenvalues"},
+            header | {"mean", "projection", "eigenvalues"},
+            header | {"ppl", "input_dim", "n_layers", "w_0", "b_0", "act_0"},
         ]
         probe = rng.uniform(size=(5, 6))
-        for i, reducer in enumerate(reducers):
+        for i, (reducer, want) in enumerate(zip(reducers, keys)):
             path = tmp_path / f"reducer_{i}.npz"
             save_reducer(reducer, path)
+            with np.load(path) as data:
+                assert set(data.files) == want
             loaded = load_reducer(path)
+            assert type(loaded) is type(reducer)
             assert loaded.kind == reducer.kind
             assert loaded.effective_dim == reducer.effective_dim
             assert np.array_equal(loaded.transform(probe), reducer.transform(probe))
+        assert type(load_reducer(tmp_path / "reducer_0.npz").effective_dim) is int
+
+    def test_two_layer_ae_round_trip_is_exact(self, tmp_path):
+        data = np.random.default_rng(3).uniform(size=(20, 7))
+        reducer = fit_reducer(
+            "ae", data, ppl=(0.75, 0.5), train_cfg=TrainConfig(epochs=2, seed=5)
+        )
+        path = tmp_path / "ae.npz"
+        save_reducer(reducer, path)
+        loaded = load_reducer(path)
+        assert loaded.ppl == reducer.ppl
+        assert loaded.stack.input_dim == reducer.stack.input_dim
+        assert len(loaded.stack.layers) == len(reducer.stack.layers) == 2
+        for la, lb in zip(reducer.stack.layers, loaded.stack.layers):
+            assert np.array_equal(la.w, lb.w)
+            assert np.array_equal(la.b, lb.b)
+            assert la.activation == lb.activation
+        assert np.array_equal(loaded.transform(data), reducer.transform(data))
+
+    def test_version_check(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, format_version=np.int64(99), kind=np.str_("identity"), dim=np.int64(1))
+        with pytest.raises(ValueError, match="version"):
+            load_reducer(path)
+
+    def test_lda_file_with_class_means_loads(self, tmp_path):
+        # earlier versions also wrote the class means, which nothing reads
+        train, labels = two_blobs(seed=9)
+        reducer = fit_lda(train, labels, target_dim=1)
+        class_means = np.vstack([train[labels == c].mean(axis=0) for c in (0, 1)])
+        path = tmp_path / "lda.npz"
+        np.savez(
+            path,
+            format_version=np.int64(1),
+            kind=np.str_("lda"),
+            mean=reducer.mean,
+            class_means=class_means,
+            projection=reducer.projection,
+            eigenvalues=reducer.eigenvalues,
+        )
+        loaded = load_reducer(path)
+        assert isinstance(loaded, LdaReducer)
+        assert np.array_equal(loaded.eigenvalues, reducer.eigenvalues)
+        assert np.array_equal(loaded.transform(train), reducer.transform(train))
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "umap.npz"
+        np.savez(path, format_version=np.int64(1), kind=np.str_("umap"))
+        with pytest.raises(ValueError, match="unknown reducer kind 'umap'"):
+            load_reducer(path)
+
+
+class TestFittedReducers:
+    def test_fields_cannot_be_reassigned(self):
+        rng = np.random.default_rng(15)
+        for reducer in one_of_each_kind(rng.uniform(size=(24, 6))):
+            name = dataclasses.fields(reducer)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(reducer, name, getattr(reducer, name))
+
+
+def _package_modules():
+    yield aeknn
+    for info in pkgutil.iter_modules(aeknn.__path__):
+        yield importlib.import_module(f"aeknn.{info.name}")
+
+
+@pytest.mark.parametrize("module", list(_package_modules()), ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
