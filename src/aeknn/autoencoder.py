@@ -17,7 +17,7 @@ checks the arithmetic that trains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -65,7 +65,7 @@ class ActivationKind(str, Enum):
         return (y > 0.0).astype(np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerParams:
     """One encode/decode pair. Encoder and decoder weights are independent
     (untied); their shapes are transposes of each other."""
@@ -99,7 +99,7 @@ class LayerParams:
         return self.w_enc.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gradients:
     w_enc: np.ndarray
     b_enc: np.ndarray
@@ -272,7 +272,7 @@ def train_layer(
     return trained, history
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncoderLayer:
     """Kept half of a trained layer."""
 
@@ -292,7 +292,7 @@ class EncoderLayer:
         return self.activation.apply(x @ self.w.T + self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutoencoderStack:
     """Ordered encoder layers; decoders existed only during training.
 
@@ -302,7 +302,7 @@ class AutoencoderStack:
 
     layers: tuple[EncoderLayer, ...]
     input_dim: int
-    loss_histories: tuple[tuple[float, ...], ...] = field(default=(), compare=False)
+    loss_histories: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
         dim = self.input_dim

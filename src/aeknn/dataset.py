@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable feature matrix plus dense integer class labels.
 
@@ -76,10 +76,11 @@ class Dataset:
         return len(self.class_names)
 
     def subset(self, rows) -> "SubsetView":
-        """Row slice sharing the class universe (a fold, not a new dataset)."""
+        """Row slice sharing the class universe (a fold, not a new dataset).
+        The feature matrix is shared, not copied."""
         rows = np.asarray(rows, dtype=np.int64)
         return SubsetView(
-            features=self.features[rows],
+            source=self.features,
             labels=self.labels[rows],
             class_names=self.class_names,
             indices=rows,
@@ -94,31 +95,43 @@ class Dataset:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetView:
-    """Rows of a Dataset. Unlike Dataset, a view may miss some classes
-    (a test fold can contain a class absent from its training fold)."""
+    """Rows `indices` of a Dataset, whose feature matrix `source` it shares.
+    Unlike Dataset, a view may miss some classes (a test fold can contain a
+    class absent from its training fold).
 
-    features: np.ndarray
+    `features` gathers the rows on every read, so a fold holds no copy of
+    its raw rows between reads: `pipeline.run_fold` reads each side once
+    and keeps only the normalized matrix. The test rows' gather therefore
+    falls inside the fold's `encode_seconds`, well under a millisecond for
+    a semeion-sized fold.
+    """
+
+    source: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
     indices: np.ndarray
     name: str = ""
 
     @property
+    def features(self) -> np.ndarray:
+        return self.source[self.indices]
+
+    @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return self.indices.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.features.shape[1]
+        return self.source.shape[1]
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationStats:
     """Per-feature min/max fitted on a training partition only.
 
@@ -151,8 +164,11 @@ class NormalizationStats:
                 f"matrix has {matrix.shape[-1]} features, stats were fitted on "
                 f"{self.n_features}"
             )
-        scaled = (matrix - self.minimum) / (self.maximum - self.minimum)
-        return np.clip(scaled, 0.0, 1.0)
+        # one output, scaled and clipped in place: the bits of
+        # np.clip((matrix - minimum) / (maximum - minimum), 0, 1)
+        scaled = np.subtract(matrix, self.minimum)
+        np.divide(scaled, self.maximum - self.minimum, out=scaled)
+        return np.clip(scaled, 0.0, 1.0, out=scaled)
 
     def invert(self, matrix: np.ndarray) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -285,7 +301,7 @@ def _first_non_float(cells: list[str]) -> int:
     raise AssertionError("every cell parses")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
     """Per-repetition fold assignment for every sample.
 

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """C x C counts; entry (i, j) counts samples of true class i predicted as j."""
 
@@ -111,7 +111,7 @@ def f_score(cm: ConfusionMatrix, averaging: str = "macro", positive: int = 1) ->
     raise ValueError(f"unknown averaging {averaging!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
     """Operating points (FPR, TPR) from thresholding a score vector, ordered
     from (0, 0) at the strictest threshold to (1, 1)."""

@@ -126,7 +126,7 @@ class PipelineConfig:
         return f"{self.reducer}_{dim}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldResult:
     """Predictions and scores for one test fold, with wall-clock timings."""
 
@@ -171,9 +171,13 @@ def fit_fold_model(train: Dataset | "object", cfg: PipelineConfig):
 
 def _fit_fold(train, cfg: PipelineConfig):
     """`fit_fold_model` plus the normalized training matrix the reducer was
-    fitted on, so `run_fold` encodes it without normalizing it again."""
-    stats = fit_normalizer(train.features) if cfg.normalize else None
-    train_matrix = stats.apply(train.features) if stats is not None else train.features
+    fitted on, so `run_fold` encodes it without normalizing it again. The
+    raw rows are read once (a `SubsetView` gathers them on each read) and
+    dropped once normalized."""
+    train_matrix = train.features
+    stats = fit_normalizer(train_matrix) if cfg.normalize else None
+    if stats is not None:
+        train_matrix = stats.apply(train_matrix)
     reducer = fit_reducer(
         cfg.reducer,
         train_matrix,
@@ -242,7 +246,7 @@ def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CvResult:
     """Cross-validation aggregate: per-fold results plus metric means."""
 

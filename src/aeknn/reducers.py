@@ -107,7 +107,7 @@ class IdentityReducer:
         return _features(matrix, self.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaReducer:
     """Mean and top eigenvectors of the training covariance, plus the full
     eigenvalue spectrum (descending)."""
@@ -144,7 +144,7 @@ def fit_pca(train: np.ndarray, target_dim: int) -> PcaReducer:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdaReducer:
     """Discriminant directions from the generalized eigenproblem of
     between-class versus (regularized) within-class scatter."""
@@ -212,7 +212,7 @@ def fit_lda(train: np.ndarray, labels, target_dim: int) -> LdaReducer:
     return LdaReducer(mean=mean, projection=directions, eigenvalues=eigenvalues[:effective])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AeReducer:
     """A trained autoencoder stack. The layer layout comes from `ppl`
     (fractions of the original feature count)."""

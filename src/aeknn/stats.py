@@ -35,7 +35,7 @@ __all__ = [
 EXACT_WILCOXON_LIMIT = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultMatrix:
     """Scores with datasets as rows (blocks) and algorithms as columns."""
 

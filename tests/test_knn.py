@@ -327,14 +327,15 @@ def scan_predictions(model, queries):
 
 @st.composite
 def tree_screen_problems(draw):
-    """Narrow references where the tree screen's certificate is tested hard:
+    """References 1 to 33, or 64 to 617, features wide where the tree
+    screen's certificate is tested hard:
     exact ties on integer grids; permuted coordinates, whose exact distances
     to a constant query tie but whose rounded ones differ in the last bits
     with the order of summation; near-duplicates a few ulps apart, offset or
     not; subnormal and underflowing squared differences; and coordinates
     the magnitude guard sends to the scan. k runs from 1 to n_ref."""
     kind = draw(st.sampled_from(["grid", "permuted", "ulp", "offset", "tiny", "huge"]))
-    d = draw(st.integers(1, 33))
+    d = draw(st.one_of(st.integers(1, 33), st.sampled_from([64, 85, 129, 256, 617])))
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_q = int(rng.integers(1, 8))
@@ -390,13 +391,37 @@ class TestTreeScreenAgainstScan:
         labels = np.array([0, 1, 0, 1])
         big = np.array([[2e150], [-1e300], [3.0], [0.0]])
         with np.errstate(over="ignore"):
-            # large references, or a large query, or too wide, or an empty batch
+            # large references, or a large query, or wide and large, or an
+            # empty batch
             classify_batch(KnnModel(references=big, labels=labels, k=2), np.zeros((3, 1)))
             small = KnnModel(references=big[2:], labels=labels[2:], k=1)
             classify_batch(small, np.array([[1.0], [2e150]]))
-        wide = KnnModel(references=np.eye(33), labels=np.zeros(33, dtype=int), k=1)
-        classify_batch(wide, np.zeros((2, 33)))
+        wide = KnnModel(references=np.full((3, 300), 2e150), labels=np.zeros(3, dtype=int), k=1)
+        classify_batch(wide, np.zeros((2, 300)))
         assert classify_batch(small, np.zeros((0, 1))) == []
+
+    def test_wide_rounding_gap_stays_within_the_certificate(self):
+        # at 617 features the tree's distance to `wide` rounds up on each of
+        # its 154 tiny squares (0.51 ulp of the running sum each; every 4th
+        # coordinate, which cKDTree adds into the accumulator holding the
+        # 1), while the scan's pairwise sum keeps them: about 1 + 77 ulps
+        # against 1 + 41.
+        # The five single-coordinate references lie between (1 + 50 to 70
+        # ulps in both), so the tree proposes them alone, and only the
+        # width term of the slack sends the row to the scan, which finds
+        # `wide` nearest
+        eps = np.finfo(np.float64).eps
+        wide = np.zeros(617)
+        wide[0], wide[4::4] = 1.0, np.sqrt(0.51 * eps)
+        references = np.zeros((6, 617))
+        references[:5, 0] = 1 + np.array([50, 55, 60, 65, 70]) * eps
+        references[5] = wide
+        model = KnnModel(references=references, labels=[0, 0, 0, 0, 0, 1], k=1)
+        queries = np.zeros((1, 617))
+        (got,) = classify_batch(model, queries)
+        (want,) = scan_predictions(model, queries)
+        assert got.neighbor_indices.tolist() == want.neighbor_indices.tolist() == [5]
+        assert got.neighbor_distances.tobytes() == want.neighbor_distances.tobytes()
 
     def test_all_references_equal_fall_back_row_by_row(self, monkeypatch):
         # every distance of a row ties, so the k + 4 proposals cannot certify

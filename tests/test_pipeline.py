@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,72 @@ class TestRunCv:
         assert len(result.fold_results) == 10
         first_rep = np.concatenate([r.test_indices for r in result.fold_results[:5]])
         assert sorted(first_rep) == list(range(100))
+
+    def test_same_bytes_with_one_and_two_blas_threads(self):
+        # run_fold holds every loaded OpenBLAS to one thread, so the host's
+        # thread count cannot reach the seeded codes or the metrics
+        counts = pipeline._openblas_thread_counts()
+        if not counts:
+            pytest.skip("no OpenBLAS with a thread-count API is loaded")
+        data = synth.gaussian_blobs(n_samples=200, n_classes=10, n_features=256, seed=13)
+        plan = make_folds(data, 1, 5, seed=13)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.25,), k=5, train_cfg=fast_ae)
+        saved = [get() for get, _ in counts]
+        runs = []
+        try:
+            for threads in (1, 2):
+                for _, set_ in counts:
+                    set_(threads)
+                runs.append(run_cv(data, plan, cfg))
+        finally:
+            for (_, set_), threads in zip(counts, saved):
+                set_(threads)
+        one, two = runs
+        assert (one.accuracy, one.fscore, one.auc_score) == (two.accuracy, two.fscore, two.auc_score)
+        for a, b in zip(one.fold_results, two.fold_results):
+            assert a.predictions.tobytes() == b.predictions.tobytes()
+            assert a.scores.tobytes() == b.scores.tobytes()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestFoldMemory:
+    def test_identity_fold_holds_one_normalized_copy_per_side(self):
+        # 16000 x 200 training rows (24.4 MiB) and 4000 test rows (6.1 MiB)
+        # on a line through the unit cube, where the kd-tree is quick. The
+        # fold may hold one normalized copy per side, the raw training
+        # rows while it fits the normalizer, and the kNN scratch; a raw
+        # copy of the training rows kept through the fold, or a temporary
+        # in the normalization, passes the bound.
+        rng = np.random.default_rng(17)
+        n_train, n_test, d = 16000, 4000, 200
+        labels = rng.integers(0, 4, size=n_train + n_test)
+        features = (rng.random((labels.size, 1)) + labels[:, None]) * rng.random((1, d))
+        data = Dataset(features=features, labels=labels, class_names=("a", "b", "c", "d"))
+        train, test = np.arange(n_train), np.arange(n_train, labels.size)
+        cfg = PipelineConfig(reducer="identity", k=5)
+        peak = traced_peak(lambda: run_fold(data.subset(train), data.subset(test), cfg))
+        row_bytes = 8 * d
+        assert peak < (2 * n_train + n_test) * row_bytes + 4 * 2**20
+
+    def test_subset_view_gathers_the_parent_rows_without_a_copy(self):
+        data = blob_data(n=2000, features=100, seed=18)
+        rows = np.random.default_rng(18).permutation(2000)[:1500]
+        peak = traced_peak(lambda: data.subset(rows))
+        view = data.subset(rows)
+        assert view.source is data.features
+        assert view.features.tobytes() == data.features[rows].tobytes()
+        assert (view.n_samples, view.n_features) == (1500, 100)
+        # the labels and indices of 1500 rows, not their 1.2 MB of features
+        assert peak < 1500 * 8 * 100 / 10
 
 
 class TestConfigValidation:

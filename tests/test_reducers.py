@@ -411,6 +411,47 @@ def _package_modules():
         yield importlib.import_module(f"aeknn.{info.name}")
 
 
+def test_dataclasses_holding_arrays_compare_by_identity():
+    # value equality over numpy fields raises on == and makes hash() raise;
+    # every dataclass holding arrays, itself or through a field, compares by
+    # identity, and the rest keep value equality
+    classes = {
+        cls
+        for module in _package_modules()
+        for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+        and cls.__module__.startswith("aeknn")
+    }
+    holding = {cls for cls in classes if any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    while True:
+        names = {cls.__name__ for cls in holding}
+        grown = holding | {
+            cls for cls in classes
+            if any(name in str(f.type) for f in dataclasses.fields(cls) for name in names)
+        }
+        if grown == holding:
+            break
+        holding = grown
+    assert {"PcaReducer", "LdaReducer", "AeReducer", "AutoencoderStack", "EncoderLayer",
+            "Dataset", "SubsetView", "KnnModel", "FoldResult", "CvResult"} <= names
+    for cls in holding:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    for cls in classes - holding:
+        assert cls.__eq__ is not object.__eq__, cls
+    assert {c.__name__ for c in classes - holding} >= {"PipelineConfig", "TrainConfig"}
+
+    rng = np.random.default_rng(16)
+    train = rng.uniform(size=(24, 6))
+    for reducer, twin in zip(one_of_each_kind(train), one_of_each_kind(train)):
+        assert reducer == reducer and hash(reducer) == hash(reducer)
+        if not isinstance(reducer, IdentityReducer):
+            assert reducer != twin and len({reducer, twin}) == 2
+    stack = one_of_each_kind(train)[3].stack
+    assert stack == stack and stack.layers[0] == stack.layers[0]
+    assert len({stack, *stack.layers}) == 1 + len(stack.layers)
+    assert TrainConfig(epochs=2) == TrainConfig(epochs=2)
+
+
 @pytest.mark.parametrize("module", list(_package_modules()), ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
