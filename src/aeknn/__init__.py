@@ -13,7 +13,7 @@ from .autoencoder import (
     layer_size,
 )
 from .dataset import Dataset, FoldPlan, NormalizationStats, load_csv, make_folds
-from .knn import KnnModel, Prediction, classify, classify_batch, neighbors
+from .knn import KnnModel, classify_batch, neighbors
 from .metrics import ConfusionMatrix, RocCurve, accuracy, auc, f_score, roc_auc_binary
 from .pipeline import CvResult, FoldResult, PipelineConfig, run_cv, run_fold
 from .reducers import Reducer, fit_lda, fit_pca, fit_reducer
@@ -33,8 +33,6 @@ __all__ = [
     "load_csv",
     "make_folds",
     "KnnModel",
-    "Prediction",
-    "classify",
     "classify_batch",
     "neighbors",
     "ConfusionMatrix",

@@ -143,10 +143,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configs_from_ini(path: str, base_train: TrainConfig, k: int) -> list[tuple[str, PipelineConfig]]:
+# the keys each experiment-file section may hold; [config:<label>] sections
+# share one set
+_INI_KEYS = {
+    "defaults": ("k", "reps", "folds", "epochs", "batch_size", "lr", "datasets"),
+    "config": ("reducer", "ppl", "target_dim", "k"),
+}
+
+
+def _read_ini(path: str) -> configparser.ConfigParser:
+    """The experiment file, read once; a key that [defaults] or a
+    [config:<label>] section cannot hold is an error naming both."""
     ini = configparser.ConfigParser()
     if not ini.read(path):
         raise ValueError(f"cannot read experiment file {path}")
+    for section in ini.sections():
+        kind = "config" if section.startswith("config:") else section
+        for key in ini[section]:
+            if kind in _INI_KEYS and key not in _INI_KEYS[kind]:
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+    return ini
+
+
+def _configs_from_ini(
+    ini: configparser.ConfigParser, base_train: TrainConfig, k: int
+) -> list[tuple[str, PipelineConfig]]:
     configs = []
     for section in ini.sections():
         if not section.startswith("config:"):
@@ -167,30 +188,14 @@ def _configs_from_ini(path: str, base_train: TrainConfig, k: int) -> list[tuple[
     return configs
 
 
-def _ini_defaults(path: str) -> dict:
-    ini = configparser.ConfigParser()
-    ini.read(path)
-    if not ini.has_section("defaults"):
-        return {}
-    body = ini["defaults"]
-    out: dict = {}
-    for key in ("k", "reps", "folds", "epochs", "batch_size"):
-        if body.get(key) is not None:
-            out[key] = body.getint(key)
-    if body.get("lr") is not None:
-        out["lr"] = body.getfloat("lr")
-    if body.get("datasets") is not None:
-        out["datasets"] = [p.strip() for p in body["datasets"].split(",") if p.strip()]
-    return out
-
-
 def _resolve_spec(args) -> ExperimentSpec:
-    file_defaults = _ini_defaults(args.config) if args.config else {}
+    ini = _read_ini(args.config) if args.config else configparser.ConfigParser()
+    file_defaults = ini["defaults"] if ini.has_section("defaults") else {}
 
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return file_defaults.get(key, fallback)
+    def pick(flag_value, key, fallback, parse=int):
+        # the file's value is parsed even when a flag wins, so a bad one fails
+        value = parse(file_defaults[key]) if key in file_defaults else fallback
+        return value if flag_value is None else flag_value
 
     k = pick(args.k, "k", 5)
     reps = pick(args.reps, "reps", 2)
@@ -198,16 +203,16 @@ def _resolve_spec(args) -> ExperimentSpec:
     train_cfg = TrainConfig(
         epochs=pick(args.epochs, "epochs", 50),
         batch_size=pick(args.batch_size, "batch_size", 32),
-        learning_rate=pick(args.lr, "lr", 0.01),
+        learning_rate=pick(args.lr, "lr", 0.01, parse=float),
         seed=args.seed,
     )
-    datasets = list(args.dataset) or list(file_defaults.get("datasets", []))
+    datasets = list(args.dataset) or [
+        p.strip() for p in file_defaults.get("datasets", "").split(",") if p.strip()
+    ]
     if not datasets:
         raise ValueError("no datasets given (use --dataset or the experiment file)")
 
-    configs: list[tuple[str, PipelineConfig]] = []
-    if args.config:
-        configs.extend(_configs_from_ini(args.config, train_cfg, k))
+    configs = _configs_from_ini(ini, train_cfg, k)
     if args.reducer is not None or args.ppl is not None or not configs:
         cfg = PipelineConfig(
             reducer=args.reducer or "ae",

@@ -311,7 +311,6 @@ class FoldPlan:
 
     assignments: np.ndarray
     n_folds: int
-    seed: int | None = None
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.assignments, dtype=np.int64)
@@ -405,4 +404,4 @@ def make_folds(data: Dataset, repetitions: int, k_folds: int, seed: int) -> Fold
             rng.shuffle(members)
             offset = int(rng.integers(k_folds))
             assignments[rep, members] = (np.arange(members.size) + offset) % k_folds
-    return FoldPlan(assignments=assignments, n_folds=k_folds, seed=seed)
+    return FoldPlan(assignments=assignments, n_folds=k_folds)

@@ -6,7 +6,7 @@ Every non-empty batch whose coordinates, and the references', are at most
 `_TREE_MAX_ABS` (1e150) in magnitude goes through a kd-tree screen
 (`_search_tree`), whatever the width. A `scipy.spatial.cKDTree` over the
 references is built on first use and kept on the `KnnModel`, so a loop of
-single-query calls does not rebuild it. One tree query proposes each row's
+small batches does not rebuild it. One tree query proposes each row's
 k + 4 nearest references, and a certificate, derived in `_search_tree` for
 any width, says whether they hold every reference the exact answer can
 contain, ties at the k-th distance included. The proposals of a certified
@@ -36,11 +36,15 @@ grow towards block size only when most distances of a block tie.
 Both compute distances from explicit differences (not the expanded-square
 identity) summed over the contiguous last axis, so they are bitwise those of
 sqrt(((q[:, None] - r[None]) ** 2).sum(axis=2)) and a query equal to a
-reference is at exactly zero. `neighbors`, `classify` and
-`classify_batch` share one search and one vectorized vote. Every tie has a
-deterministic rule: equal distances prefer the lower reference index, and
-vote ties go to the class whose closest neighbor among the k is nearest,
-then to the lower class index.
+reference is at exactly zero.
+
+There are two entry points, both over a (q, width) matrix of query rows and
+both answering in arrays: `neighbors` returns the (q, k) indices and
+distances of one search, and `classify_batch` adds one vectorized vote over
+them, returning the (q,) labels and the (q, n_classes) vote fractions. Every
+tie has a deterministic rule: equal distances prefer the lower reference
+index, and vote ties go to the class whose closest neighbor among the k is
+nearest, then to the lower class index.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["KnnModel", "Prediction", "neighbors", "classify", "classify_batch"]
+__all__ = ["KnnModel", "neighbors", "classify_batch"]
 
 # bytes of one block of distance rows, and of one tile of squared differences
 _BLOCK_BYTES = 1 << 20
@@ -82,11 +86,9 @@ class KnnModel:
             raise ValueError("references contain non-finite values")
         if not 1 <= self.k <= refs.shape[0]:
             raise ValueError(f"k={self.k} must be in [1, {refs.shape[0]}]")
-        n_classes = self.n_classes
-        if n_classes is None:
-            n_classes = int(labels.max()) + 1
-        elif labels.size and labels.max() >= n_classes:
-            raise ValueError("labels exceed n_classes")
+        n_classes = int(labels.max()) + 1 if self.n_classes is None else self.n_classes
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise ValueError(f"labels must lie in [0, {n_classes})")
         refs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "references", refs)
@@ -111,27 +113,13 @@ class KnnModel:
         return cKDTree(refs, copy_data=False)
 
 
-@dataclass(frozen=True, eq=False)
-class Prediction:
-    label: int
-    vote_fractions: np.ndarray  # (n_classes,), multiples of 1/k summing to 1
-    neighbor_indices: np.ndarray
-    neighbor_distances: np.ndarray
-
-
-def _check_queries(model: KnnModel, queries, single: bool) -> np.ndarray:
-    """Queries as a finite float64 matrix of the model's width; with `single`
-    a vector, or one row, is the only shape accepted."""
-    what = "query" if single else "queries"
+def _check_queries(model: KnnModel, queries) -> np.ndarray:
+    """Queries as a finite float64 matrix of the model's width."""
     queries = np.asarray(queries, dtype=np.float64)
-    if single and queries.ndim == 1:
-        queries = queries[None, :]
     if queries.ndim != 2 or queries.shape[1] != model.dim:
-        raise ValueError(f"{what} has shape {queries.shape}, expected (*, {model.dim})")
-    if single and queries.shape[0] != 1:
-        raise ValueError("expected a single query vector")
+        raise ValueError(f"queries have shape {queries.shape}, expected (*, {model.dim})")
     if not np.all(np.isfinite(queries)):
-        raise ValueError(f"{what} contain non-finite values")
+        raise ValueError("queries contain non-finite values")
     return queries
 
 
@@ -281,9 +269,12 @@ def _smallest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cols[picked], values[picked]
 
 
-def _vote(model: KnnModel, indices: np.ndarray, distances: np.ndarray) -> list[Prediction]:
-    """Majority vote per row; a vote tie goes to the tied class whose nearest
-    member among the k is nearest, then to the lower class index."""
+def _vote(
+    model: KnnModel, indices: np.ndarray, distances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (q,) and vote fractions (q, n_classes) of a majority vote per
+    row; a vote tie goes to the tied class whose nearest member among the k
+    is nearest, then to the lower class index."""
     n_q, k = indices.shape
     n_classes = model.n_classes
     rows = np.arange(n_q)
@@ -301,31 +292,16 @@ def _vote(model: KnnModel, indices: np.ndarray, distances: np.ndarray) -> list[P
     # the first contender at the smallest distance; an all-inf row (overflowed
     # distances) still picks among the contenders only
     winners = np.argmax(contenders & (nearest == nearest.min(axis=1, keepdims=True)), axis=1)
-    fractions = counts / k
-    return [
-        Prediction(
-            label=int(winners[i]),
-            vote_fractions=fractions[i],
-            neighbor_indices=indices[i],
-            neighbor_distances=distances[i],
-        )
-        for i in range(n_q)
-    ]
+    return winners, counts / k
 
 
-def neighbors(model: KnnModel, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest reference rows, distance-ascending; distance ties are
-    returned lower-index first. Returns (indices, distances)."""
-    indices, distances = _search(model, _check_queries(model, query, single=True))
-    return indices[0], distances[0]
+def neighbors(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances, both (q, k), of every query row's k nearest
+    references, distance-ascending; equal distances come lower index first."""
+    return _search(model, _check_queries(model, queries))
 
 
-def classify(model: KnnModel, query: np.ndarray) -> Prediction:
-    """Majority vote over the k nearest neighbors."""
-    return _vote(model, *_search(model, _check_queries(model, query, single=True)))[0]
-
-
-def classify_batch(model: KnnModel, queries: np.ndarray) -> list[Prediction]:
-    """Row-wise classification; elementwise identical to repeated classify."""
-    queries = _check_queries(model, queries, single=False)
-    return _vote(model, *_search(model, queries))
+def classify_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (q,) and vote fractions (q, n_classes): every query row's
+    majority vote over its k nearest neighbors."""
+    return _vote(model, *neighbors(model, queries))

@@ -48,6 +48,9 @@ class ConfusionMatrix:
             raise ValueError("label vectors must have equal length")
         if n_classes is None:
             n_classes = int(max(true_labels.max(), predicted_labels.max())) + 1
+        for labels in (true_labels, predicted_labels):
+            if np.any((labels < 0) | (labels >= n_classes)):
+                raise ValueError(f"labels must lie in [0, {n_classes})")
         counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(counts, (true_labels, predicted_labels), 1)
         return cls(counts=counts)
@@ -68,9 +71,6 @@ class ConfusionMatrix:
 
     def false_negatives(self, c: int) -> int:
         return int(self.counts[c, :].sum() - self.counts[c, c])
-
-    def true_negatives(self, c: int) -> int:
-        return self.total - self.true_positives(c) - self.false_positives(c) - self.false_negatives(c)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

@@ -9,8 +9,9 @@ sides live in the same space.
 
 Reported timing splits the work into fit (normalizer + reducer + encoding
 the training rows, i.e. building the classification model), encode (test
-rows only) and classify (the kNN scan). "Classification time" in aggregated
-results means encode + classify.
+rows only) and classify (one `classify_batch` call: the kd-tree screen,
+the full scan where it falls back, and the vote). "Classification time" in
+aggregated results means encode + classify.
 
 Each fold runs whole (fit and training, both encodes, kNN) with every loaded
 OpenBLAS held to one thread, whether it runs in the main process or in an
@@ -98,7 +99,6 @@ class PipelineConfig:
     ppl: tuple[float, ...] = (0.75,)
     k: int = 5
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    normalize: bool = True
     target_dim: int | None = None
 
     def __post_init__(self):
@@ -160,10 +160,9 @@ class FoldResult:
 
 
 def fit_fold_model(train: Dataset | "object", cfg: PipelineConfig):
-    """Fit everything the training fold determines: normalization stats (or
-    None) and the reducer. Exposed separately so leak-freedom is checkable:
-    the test fold is not an input. Fits on one BLAS thread, as `run_fold`
-    does."""
+    """Fit everything the training fold determines: normalization stats and
+    the reducer. Exposed separately so leak-freedom is checkable: the test
+    fold is not an input. Fits on one BLAS thread, as `run_fold` does."""
     with _one_blas_thread():
         stats, reducer, _ = _fit_fold(train, cfg)
     return stats, reducer
@@ -175,9 +174,8 @@ def _fit_fold(train, cfg: PipelineConfig):
     raw rows are read once (a `SubsetView` gathers them on each read) and
     dropped once normalized."""
     train_matrix = train.features
-    stats = fit_normalizer(train_matrix) if cfg.normalize else None
-    if stats is not None:
-        train_matrix = stats.apply(train_matrix)
+    stats = fit_normalizer(train_matrix)
+    train_matrix = stats.apply(train_matrix)
     reducer = fit_reducer(
         cfg.reducer,
         train_matrix,
@@ -212,8 +210,7 @@ def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
         fit_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        test_matrix = stats.apply(test.features) if stats is not None else test.features
-        encoded_test = reducer.transform(test_matrix)
+        encoded_test = reducer.transform(stats.apply(test.features))
         encode_seconds = time.perf_counter() - t0
 
         model = KnnModel(
@@ -223,15 +220,9 @@ def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
             n_classes=n_classes,
         )
         t0 = time.perf_counter()
-        predictions = classify_batch(model, encoded_test)
+        labels, scores = classify_batch(model, encoded_test)
         classify_seconds = time.perf_counter() - t0
 
-    labels = np.array([p.label for p in predictions], dtype=np.int64)
-    scores = (
-        np.vstack([p.vote_fractions for p in predictions])
-        if predictions
-        else np.zeros((0, n_classes))
-    )
     indices = getattr(test, "indices", np.arange(test.n_samples, dtype=np.int64))
     return FoldResult(
         predictions=labels,

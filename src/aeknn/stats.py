@@ -59,15 +59,17 @@ class ResultMatrix:
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
-    def column(self, label: str) -> np.ndarray:
+    def _index(self, label: str) -> int:
         try:
-            idx = self.col_labels.index(label)
+            return self.col_labels.index(label)
         except ValueError:
             raise KeyError(f"no column named {label!r}") from None
-        return self.values[:, idx]
+
+    def column(self, label: str) -> np.ndarray:
+        return self.values[:, self._index(label)]
 
     def select_columns(self, labels) -> "ResultMatrix":
-        idx = [self.col_labels.index(lbl) for lbl in labels]
+        idx = [self._index(lbl) for lbl in labels]
         return ResultMatrix(
             values=self.values[:, idx],
             row_labels=self.row_labels,

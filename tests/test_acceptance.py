@@ -25,7 +25,7 @@ from aeknn.autoencoder import (
     reconstruction_loss,
 )
 from aeknn.dataset import fit_normalizer, load_csv, make_folds
-from aeknn.knn import KnnModel, classify
+from aeknn.knn import KnnModel, classify_batch
 from aeknn.metrics import ConfusionMatrix, RocCurve, accuracy, roc_auc_binary
 from aeknn.pipeline import PipelineConfig, run_cv
 from aeknn.reducers import fit_pca
@@ -153,8 +153,8 @@ def test_criterion_2_knn_oracle_equivalence():
         refs = np.round(rng.normal(size=(n, d)), 3)
         labels = rng.integers(4, size=n)
         model = KnnModel(references=refs, labels=labels, k=k, n_classes=4)
-        for query in rng.normal(size=(3, d)):
-            got = classify(model, query).label
+        queries = rng.normal(size=(3, d))
+        for query, got in zip(queries, classify_batch(model, queries)[0]):
             want = _oracle_classify(refs, labels, 4, k, query)
             assert got == want, f"n={n} d={d} k={k}"
             checked += 1
@@ -178,7 +178,7 @@ def test_criterion_3_vote_flip_geometry():
     got = {}
     for k in (3, 5, 11):
         model = KnnModel(references=refs, labels=labels_by_rank, k=k, n_classes=2)
-        got[k] = classify(model, np.zeros(2)).label
+        got[k] = int(classify_batch(model, np.zeros((1, 2)))[0][0])
     ok = got[3] == 1 and got[5] == 0 and got[11] == 0
     report("3 vote-flip", ok, f"k=3->{'B' if got[3] else 'A'}, k=5->{'B' if got[5] else 'A'}, k=11->{'B' if got[11] else 'A'}")
 

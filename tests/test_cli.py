@@ -174,6 +174,33 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: pca takes target_dim or a single")
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, key, section", [
+        ("[defaults]\nepoch = 1\n\n[config:p]\nreducer = pca\nppl = 0.5\n", "epoch",
+         "defaults"),
+        ("[defaults]\nepochs = 1\n\n[config:p]\nreducr = pca\n", "reducr", "config:p"),
+    ], ids=["defaults", "config"])
+    def test_unknown_experiment_file_key_is_a_usage_error(
+        self, blob_csvs, tmp_path, capsys, body, key, section
+    ):
+        # a misspelt key once fell back to its default: `reducr = pca` ran an
+        # autoencoder under the label p, and `epoch = 1` trained 50 epochs
+        ini = tmp_path / "typo.ini"
+        ini.write_text(body, encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", blob_csvs[0], "--config", str(ini), "--seed", "1",
+                     "--reps", "1", "--folds", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown key '{key}' in section [{section}]" in err
+        assert not out.exists()
+
+    def test_bad_default_value_fails_even_when_a_flag_wins(self, blob_csvs, tmp_path):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[defaults]\nk = five\n", encoding="utf-8")
+        code = main(["eval", "--dataset", blob_csvs[0], "--config", str(ini), "--k", "3",
+                     "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+
     def test_fold_plan_sidecar_replays(self, blob_csvs, tmp_path):
         from aeknn.dataset import FoldPlan, load_csv, make_folds
 
@@ -381,6 +408,14 @@ class TestStats:
             ["stats", "--matrix", str(out / "accuracy.csv"), "--test", "friedman"]
         )
         assert code == 0
+
+    def test_unknown_friedman_column_is_named(self, capsys):
+        code = main(
+            ["stats", "--matrix", str(reference_path("knn_comparison_accuracy")),
+             "--test", "friedman", "--columns", "knn,nope"]
+        )
+        assert code == 2
+        assert "no column named 'nope'" in capsys.readouterr().err
 
     def test_single_column_matrix_fails_cleanly(self, tmp_path):
         path = tmp_path / "one.csv"

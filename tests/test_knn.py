@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from aeknn import knn
-from aeknn.knn import KnnModel, classify, classify_batch, neighbors
+from aeknn.knn import KnnModel, classify_batch, neighbors
 
 
 def brute_force_neighbors(references, query, k):
@@ -28,9 +28,10 @@ class TestNeighbors:
     def test_query_equal_to_reference_is_first_with_zero_distance(self):
         refs = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
         model = KnnModel(references=refs, labels=np.array([0, 1, 1]), k=2)
-        idx, dist = neighbors(model, np.array([3.0, 4.0]))
-        assert idx[0] == 1
-        assert dist[0] == 0.0
+        idx, dist = neighbors(model, np.array([[3.0, 4.0]]))
+        assert idx.shape == dist.shape == (1, 2)
+        assert idx[0, 0] == 1
+        assert dist[0, 0] == 0.0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(12)
@@ -39,26 +40,49 @@ class TestNeighbors:
             labels = rng.integers(3, size=n)
             model = KnnModel(references=refs, labels=labels, k=k)
             query = rng.normal(size=d)
-            idx, dist = neighbors(model, query)
+            idx, dist = neighbors(model, query[None])
             ref_idx, ref_dist = brute_force_neighbors(refs, query, k)
-            assert idx.tolist() == ref_idx
-            np.testing.assert_allclose(dist, ref_dist, rtol=1e-12)
+            assert idx[0].tolist() == ref_idx
+            np.testing.assert_allclose(dist[0], ref_dist, rtol=1e-12)
 
     def test_equidistant_ties_prefer_lower_index(self):
         refs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [5.0, 5.0]])
         model = KnnModel(references=refs, labels=np.array([0, 1, 0, 1]), k=3)
-        idx, dist = neighbors(model, np.array([0.0, 0.0]))
-        assert idx.tolist() == [0, 1, 2]
+        idx, dist = neighbors(model, np.zeros((1, 2)))
+        assert idx.tolist() == [[0, 1, 2]]
         assert np.all(dist == 1.0)
 
     def test_dimension_mismatch(self):
         model = KnnModel(references=np.zeros((3, 2)), labels=np.array([0, 1, 0]), k=1)
         with pytest.raises(ValueError):
-            neighbors(model, np.zeros(3))
+            neighbors(model, np.zeros((1, 3)))
 
     def test_k_bounds_enforced(self):
         with pytest.raises(ValueError, match="k="):
             KnnModel(references=np.zeros((3, 2)), labels=np.array([0, 1, 0]), k=4)
+
+    @pytest.mark.parametrize("labels, n_classes", [
+        # a -1 label once made the vote count into the previous query's row
+        ([0, -1, 1], None),
+        ([0, -1, 1], 2),
+        ([0, 2, 1], 2),
+    ], ids=["negative", "negative-given-classes", "at-n-classes"])
+    def test_labels_outside_the_class_range_rejected(self, labels, n_classes):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            KnnModel(references=[[0.0], [1.0], [5.0]], labels=labels, k=1, n_classes=n_classes)
+
+    def test_neighbors_come_distance_sorted(self):
+        refs = points_on_circle([1.0, 2.0, 3.0])
+        model = KnnModel(references=refs, labels=np.array([0, 1, 0]), k=2)
+        idx, dist = neighbors(model, np.zeros((1, 2)))
+        assert idx.tolist() == [[0, 1]]
+        assert np.all(np.diff(dist, axis=1) >= 0)
+
+
+def classify_one(model, query):
+    """Label and vote fractions of a one-row batch."""
+    labels, fractions = classify_batch(model, np.asarray(query, dtype=np.float64)[None])
+    return labels[0], fractions[0]
 
 
 class TestClassify:
@@ -71,76 +95,75 @@ class TestClassify:
         model = KnnModel(
             references=refs, labels=np.array(labels_by_rank), k=3, n_classes=2
         )
-        assert classify(model, np.zeros(2)).label == 1  # k=3 -> B
+        assert classify_one(model, np.zeros(2))[0] == 1  # k=3 -> B
         model5 = KnnModel(references=refs, labels=np.array(labels_by_rank), k=5)
-        assert classify(model5, np.zeros(2)).label == 0  # k=5 -> A
+        assert classify_one(model5, np.zeros(2))[0] == 0  # k=5 -> A
         model11 = KnnModel(references=refs, labels=np.array(labels_by_rank), k=11)
-        assert classify(model11, np.zeros(2)).label == 0  # k=11 -> A
+        assert classify_one(model11, np.zeros(2))[0] == 0  # k=11 -> A
 
     def test_unanimous_vote_has_fraction_one(self):
         refs = points_on_circle([1.0, 1.1, 1.2, 9.0])
         model = KnnModel(references=refs, labels=np.array([2, 2, 2, 0]), k=3)
-        pred = classify(model, np.zeros(2))
-        assert pred.label == 2
-        assert pred.vote_fractions[2] == 1.0
+        label, fractions = classify_one(model, np.zeros(2))
+        assert label == 2
+        assert fractions[2] == 1.0
 
     def test_vote_tie_goes_to_class_with_nearest_member(self):
         # k=5, votes 2/2/1; class 1 owns the single nearest point
         labels_by_rank = [1, 0, 0, 1, 2]
         refs = points_on_circle([1.0, 1.5, 2.0, 2.5, 3.0])
         model = KnnModel(references=refs, labels=np.array(labels_by_rank), k=5)
-        pred = classify(model, np.zeros(2))
-        assert pred.label == 1
-        assert pred.vote_fractions.tolist() == [0.4, 0.4, 0.2]
+        label, fractions = classify_one(model, np.zeros(2))
+        assert label == 1
+        assert fractions.tolist() == [0.4, 0.4, 0.2]
 
     def test_vote_tie_with_equal_distances_prefers_lower_class(self):
         # two classes, one member each, exactly equidistant; class 1 holds the
         # first position, but the tie key is (nearest distance, class)
         for refs in ([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]):
             model = KnnModel(references=np.array(refs), labels=np.array([1, 0]), k=2)
-            assert classify(model, np.zeros(2)).label == 0
-
-    def test_prediction_carries_neighbors(self):
-        refs = points_on_circle([1.0, 2.0, 3.0])
-        model = KnnModel(references=refs, labels=np.array([0, 1, 0]), k=2)
-        pred = classify(model, np.zeros(2))
-        assert pred.neighbor_indices.shape == (2,)
-        assert np.all(np.diff(pred.neighbor_distances) >= 0)
+            assert classify_one(model, np.zeros(2))[0] == 0
 
 
 class TestClassifyBatch:
     def test_empty_batch(self):
         model = KnnModel(references=np.zeros((3, 2)), labels=np.array([0, 1, 0]), k=1)
-        assert classify_batch(model, np.zeros((0, 2))) == []
+        labels, fractions = classify_batch(model, np.zeros((0, 2)))
+        assert labels.shape == (0,)
+        assert fractions.shape == (0, 2)
 
-    def test_batch_of_three_equals_singles(self):
+    def test_batch_of_three_equals_one_row_batches(self):
         rng = np.random.default_rng(5)
         refs = rng.normal(size=(40, 4))
         labels = rng.integers(3, size=40)
         model = KnnModel(references=refs, labels=labels, k=5)
         queries = rng.normal(size=(3, 4))
-        batch = classify_batch(model, queries)
-        for query, pred in zip(queries, batch):
-            single = classify(model, query)
-            assert pred.label == single.label
-            assert np.array_equal(pred.vote_fractions, single.vote_fractions)
-            assert np.array_equal(pred.neighbor_indices, single.neighbor_indices)
+        batch_labels, batch_fractions = classify_batch(model, queries)
+        batch_idx, batch_dist = neighbors(model, queries)
+        for i in range(3):
+            row_labels, row_fractions = classify_batch(model, queries[i : i + 1])
+            row_idx, row_dist = neighbors(model, queries[i : i + 1])
+            assert batch_labels[i] == row_labels[0]
+            assert batch_fractions[i].tobytes() == row_fractions[0].tobytes()
+            assert np.array_equal(batch_idx[i], row_idx[0])
+            assert batch_dist[i].tobytes() == row_dist[0].tobytes()
 
-    def test_large_batch_matches_single_calls(self):
+    def test_large_batch_matches_one_row_batches(self):
         rng = np.random.default_rng(6)
         refs = rng.normal(size=(300, 50))
         labels = rng.integers(4, size=300)
         model = KnnModel(references=refs, labels=labels, k=5)
         queries = rng.normal(size=(1000, 50))
-        batch = classify_batch(model, queries)
+        batch_labels, _ = classify_batch(model, queries)
         spot = rng.integers(0, 1000, size=25)
         for i in spot:
-            assert batch[i].label == classify(model, queries[i]).label
+            assert batch_labels[i] == classify_batch(model, queries[i : i + 1])[0][0]
 
     def test_rejects_vector_input(self):
         model = KnnModel(references=np.zeros((3, 2)), labels=np.array([0, 1, 0]), k=1)
-        with pytest.raises(ValueError):
-            classify_batch(model, np.zeros(2))
+        for entry_point in (neighbors, classify_batch):
+            with pytest.raises(ValueError, match="shape"):
+                entry_point(model, np.zeros(2))
 
 
 class TestProperties:
@@ -150,45 +173,44 @@ class TestProperties:
         labels = rng.integers(4, size=60)
         for k in (1, 3, 5, 11):
             model = KnnModel(references=refs, labels=labels, k=k)
-            for query in rng.normal(size=(10, 3)):
-                pred = classify(model, query)
-                fractions = pred.vote_fractions
-                assert abs(fractions.sum() - 1.0) < 1e-12
-                steps = fractions * k
-                np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
+            _, fractions = classify_batch(model, rng.normal(size=(10, 3)))
+            np.testing.assert_allclose(fractions.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            steps = fractions * k
+            np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
 
     def test_reference_permutation_invariance_without_ties(self):
         rng = np.random.default_rng(8)
         refs = rng.normal(size=(50, 5))
         labels = rng.integers(3, size=50)
-        query = rng.normal(size=5)
+        query = rng.normal(size=(1, 5))
         model = KnnModel(references=refs, labels=labels, k=5)
-        base = classify(model, query).label
+        base = classify_batch(model, query)[0]
         for _ in range(5):
             perm = rng.permutation(50)
             shuffled = KnnModel(references=refs[perm], labels=labels[perm], k=5)
-            assert classify(shuffled, query).label == base
+            assert np.array_equal(classify_batch(shuffled, query)[0], base)
 
     def test_scale_invariance_of_neighbor_order(self):
         rng = np.random.default_rng(9)
         refs = rng.normal(size=(80, 6))
         labels = rng.integers(3, size=80)
-        query = rng.normal(size=6)
-        base_idx, _ = neighbors(KnnModel(references=refs, labels=labels, k=7), query)
+        query = rng.normal(size=(1, 6))
+        base = KnnModel(references=refs, labels=labels, k=7)
+        base_idx, _ = neighbors(base, query)
         for c in (0.001, 3.7, 1e4):
             scaled = KnnModel(references=refs * c, labels=labels, k=7)
             idx, _ = neighbors(scaled, query * c)
             assert idx.tolist() == base_idx.tolist()
-            assert classify(scaled, query * c).label == classify(
-                KnnModel(references=refs, labels=labels, k=7), query
-            ).label
+            assert np.array_equal(
+                classify_batch(scaled, query * c)[0], classify_batch(base, query)[0]
+            )
 
 
 def cdist_oracle(references, labels, n_classes, k, queries):
-    """Per query (label, vote fractions, neighbor indices, distances) by the
-    documented rules: equal distances prefer the lower reference index, and a
-    vote tie goes to the tied class with the nearest member, then to the lower
-    class index."""
+    """(labels, vote fractions, neighbor indices, distances), one row per
+    query, by the documented rules: equal distances prefer the lower
+    reference index, and a vote tie goes to the tied class with the nearest
+    member, then to the lower class index."""
     return rule_oracle(cdist(queries, references), labels, n_classes, k)
 
 
@@ -204,7 +226,31 @@ def rule_oracle(dist, labels, n_classes, k):
         nearest = {c: row[order][votes == c].min() for c in tied}
         label = min(tied, key=lambda c: (nearest[c], c))
         out.append((label, counts / k, order, row[order]))
-    return out
+    return tuple(np.array(column) for column in zip(*out))
+
+
+def batch_answers(model, queries):
+    """(labels, vote fractions, neighbor indices, distances) from the two
+    public entry points."""
+    return (*classify_batch(model, queries), *neighbors(model, queries))
+
+
+def scan_answers(model, queries):
+    """What the scan alone answers, the reference for the tree screen."""
+    indices, distances = knn._search_scan(model, queries)
+    return (*knn._vote(model, indices, distances), indices, distances)
+
+
+def assert_same_answers(got, want):
+    """Labels and indices equal, vote fractions and distances bit for bit."""
+    labels, fractions, indices, distances = got
+    want_labels, want_fractions, want_indices, want_distances = want
+    assert np.array_equal(labels, want_labels)
+    assert fractions.shape == want_fractions.shape
+    assert fractions.tobytes() == want_fractions.tobytes()
+    assert np.array_equal(indices, want_indices)
+    assert distances.shape == want_distances.shape
+    assert distances.tobytes() == want_distances.tobytes()
 
 
 @st.composite
@@ -230,14 +276,12 @@ class TestTieRulesAgainstOracle:
     def test_batch_matches_cdist_oracle(self, problem):
         references, labels, n_classes, k, queries = problem
         model = KnnModel(references=references, labels=labels, k=k, n_classes=n_classes)
-        got = classify_batch(model, queries)
-        want = cdist_oracle(references, labels, n_classes, k, queries)
-        for pred, (label, fractions, order, dist) in zip(got, want):
-            assert pred.label == label
-            assert np.array_equal(pred.vote_fractions, fractions)
-            assert np.array_equal(pred.neighbor_indices, order)
-            # squared distances on an integer grid are exact integers
-            assert np.array_equal(pred.neighbor_distances, dist)
+        # squared distances on an integer grid are exact integers, so cdist's
+        # distances are bitwise those of the search
+        assert_same_answers(
+            batch_answers(model, queries),
+            cdist_oracle(references, labels, n_classes, k, queries),
+        )
 
 
 class TestNonFiniteQueries:
@@ -245,20 +289,10 @@ class TestNonFiniteQueries:
     def test_rejected_by_every_entry_point(self, bad):
         model = KnnModel(references=np.eye(3), labels=np.array([0, 1, 2]), k=2)
         query = np.array([0.5, bad, 0.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            neighbors(model, query)
-        with pytest.raises(ValueError, match="non-finite"):
-            classify(model, query)
         batch = np.vstack([np.zeros(3), query])
-        with pytest.raises(ValueError, match="non-finite"):
-            classify_batch(model, batch)
-
-    def test_single_query_entry_points_take_one_row_only(self):
-        model = KnnModel(references=np.eye(3), labels=np.array([0, 1, 2]), k=2)
-        for call in (neighbors, classify):
-            assert call(model, np.zeros((1, 3))) is not None
-            with pytest.raises(ValueError, match="single query"):
-                call(model, np.zeros((2, 3)))
+        for entry_point in (neighbors, classify_batch):
+            with pytest.raises(ValueError, match="non-finite"):
+                entry_point(model, batch)
 
 
 def test_vote_tie_at_overflowing_distances_stays_among_contenders():
@@ -267,9 +301,9 @@ def test_vote_tie_at_overflowing_distances_stays_among_contenders():
     refs = np.array([[1e300], [-1e300], [1e300], [-1e300]])
     model = KnnModel(references=refs, labels=np.array([2, 1, 2, 1]), k=4, n_classes=3)
     with np.errstate(over="ignore"):
-        pred = classify(model, np.zeros(1))
-    assert np.all(np.isinf(pred.neighbor_distances))
-    assert pred.label == 1
+        labels, _, _, distances = batch_answers(model, np.zeros((1, 1)))
+    assert np.all(np.isinf(distances))
+    assert labels.tolist() == [1]
 
 
 def broadcast_reference(references, queries):
@@ -294,13 +328,7 @@ class TestBitwiseAgainstBroadcastFormula:
         dist = broadcast_reference(refs, queries)
         for k in (1, 5, n_ref):
             model = KnnModel(references=refs, labels=labels, k=k, n_classes=4)
-            got = classify_batch(model, queries)
-            want = rule_oracle(dist, labels, 4, k)
-            for pred, (label, fractions, order, row_dist) in zip(got, want):
-                assert pred.label == label
-                assert pred.vote_fractions.tobytes() == fractions.tobytes()
-                assert np.array_equal(pred.neighbor_indices, order)
-                assert pred.neighbor_distances.tobytes() == row_dist.tobytes()
+            assert_same_answers(batch_answers(model, queries), rule_oracle(dist, labels, 4, k))
 
 
 def test_classify_batch_memory_is_bounded_at_musk_shape():
@@ -318,11 +346,6 @@ def test_classify_batch_memory_is_bounded_at_musk_shape():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-
-
-def scan_predictions(model, queries):
-    """What the scan alone predicts, the reference for the tree screen."""
-    return knn._vote(model, *knn._search_scan(model, queries))
 
 
 @st.composite
@@ -375,13 +398,7 @@ class TestTreeScreenAgainstScan:
         references, labels, n_classes, k, queries = problem
         model = KnnModel(references=references, labels=labels, k=k, n_classes=n_classes)
         with np.errstate(over="ignore"):
-            got = classify_batch(model, queries)
-            want = scan_predictions(model, queries)
-        for pred, ref in zip(got, want):
-            assert pred.label == ref.label
-            assert pred.vote_fractions.tobytes() == ref.vote_fractions.tobytes()
-            assert np.array_equal(pred.neighbor_indices, ref.neighbor_indices)
-            assert pred.neighbor_distances.tobytes() == ref.neighbor_distances.tobytes()
+            assert_same_answers(batch_answers(model, queries), scan_answers(model, queries))
 
     def test_coordinates_past_the_guard_take_the_scan(self, monkeypatch):
         def no_tree(*args):
@@ -398,7 +415,8 @@ class TestTreeScreenAgainstScan:
             classify_batch(small, np.array([[1.0], [2e150]]))
         wide = KnnModel(references=np.full((3, 300), 2e150), labels=np.zeros(3, dtype=int), k=1)
         classify_batch(wide, np.zeros((2, 300)))
-        assert classify_batch(small, np.zeros((0, 1))) == []
+        labels, fractions = classify_batch(small, np.zeros((0, 1)))
+        assert labels.shape == (0,) and fractions.shape == (0, 2)
 
     def test_wide_rounding_gap_stays_within_the_certificate(self):
         # at 617 features the tree's distance to `wide` rounds up on each of
@@ -418,10 +436,9 @@ class TestTreeScreenAgainstScan:
         references[5] = wide
         model = KnnModel(references=references, labels=[0, 0, 0, 0, 0, 1], k=1)
         queries = np.zeros((1, 617))
-        (got,) = classify_batch(model, queries)
-        (want,) = scan_predictions(model, queries)
-        assert got.neighbor_indices.tolist() == want.neighbor_indices.tolist() == [5]
-        assert got.neighbor_distances.tobytes() == want.neighbor_distances.tobytes()
+        got, want = batch_answers(model, queries), scan_answers(model, queries)
+        assert got[2].tolist() == want[2].tolist() == [[5]]
+        assert_same_answers(got, want)
 
     def test_all_references_equal_fall_back_row_by_row(self, monkeypatch):
         # every distance of a row ties, so the k + 4 proposals cannot certify
@@ -441,14 +458,11 @@ class TestTreeScreenAgainstScan:
         for k in (1, 5, 55):
             scanned.clear()
             model = KnnModel(references=references, labels=labels, k=k, n_classes=3)
-            got = classify_batch(model, queries)
-            assert scanned == [3]
+            got = batch_answers(model, queries)
+            # one scan of all three rows per entry point
+            assert scanned == [3, 3]
             want = rule_oracle(broadcast_reference(references, queries), labels, 3, k)
-            for pred, (label, fractions, order, row_dist) in zip(got, want):
-                assert pred.label == label
-                assert pred.vote_fractions.tobytes() == fractions.tobytes()
-                assert np.array_equal(pred.neighbor_indices, order)
-                assert pred.neighbor_distances.tobytes() == row_dist.tobytes()
+            assert_same_answers(got, want)
         # with k + 4 >= n_ref the query returns every reference: no fallback
         scanned.clear()
         classify_batch(KnnModel(references=references, labels=labels, k=56), queries)

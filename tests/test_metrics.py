@@ -37,6 +37,16 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(ConfusionMatrix(counts=np.zeros((2, 2), dtype=int)))
 
+    @pytest.mark.parametrize("true, pred", [
+        ([0, 1, -1], [0, 1, 1]),  # a -1 once wrapped around into the last class
+        ([0, 1, 1], [0, 1, -1]),
+        ([0, 1, 2], [0, 1, 1]),
+        ([0, 1, 1], [0, 2, 1]),
+    ], ids=["true-negative", "predicted-negative", "true-too-large", "predicted-too-large"])
+    def test_out_of_range_labels_rejected(self, true, pred):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            ConfusionMatrix.from_predictions(true, pred, n_classes=2)
+
 
 class TestFScore:
     def test_equal_precision_and_recall(self):

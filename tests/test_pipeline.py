@@ -108,8 +108,9 @@ class TestRunFold:
             k=5,
             n_classes=data.n_classes,
         )
-        direct = classify_batch(model, stats.apply(test.features))
-        assert result.predictions.tolist() == [p.label for p in direct]
+        labels, fractions = classify_batch(model, stats.apply(test.features))
+        assert result.predictions.tolist() == labels.tolist()
+        assert result.scores.tobytes() == fractions.tobytes()
 
     def test_class_missing_from_train_can_only_be_wrong(self):
         data = blob_data(seed=6)

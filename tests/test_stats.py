@@ -60,6 +60,8 @@ class TestResultMatrix:
         sub = m.select_columns(["col2", "col0"])
         assert sub.col_labels == ("col2", "col0")
         assert sub.values.tolist() == [[3.0, 1.0], [6.0, 4.0]]
+        with pytest.raises(KeyError, match="no column named 'nope'"):
+            m.select_columns(["col0", "nope"])
 
 
 class TestFriedman:
