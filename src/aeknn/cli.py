@@ -152,15 +152,23 @@ _INI_KEYS = {
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    """The experiment file, read once; a key that [defaults] or a
-    [config:<label>] section cannot hold is an error naming both."""
-    ini = configparser.ConfigParser()
+    """The experiment file, read once; a section other than [defaults] and
+    [config:<label>], or a key its section cannot hold, is an error naming
+    it and the file."""
+    # no header can name an empty section, so [DEFAULT] is a section like
+    # any other here, not configparser's one shared by all
+    ini = configparser.ConfigParser(default_section="")
     if not ini.read(path):
         raise ValueError(f"cannot read experiment file {path}")
     for section in ini.sections():
         kind = "config" if section.startswith("config:") else section
+        if kind not in _INI_KEYS:
+            raise ValueError(
+                f"{path}: unknown section [{section}]; sections are [defaults] and "
+                "[config:<label>]"
+            )
         for key in ini[section]:
-            if kind in _INI_KEYS and key not in _INI_KEYS[kind]:
+            if key not in _INI_KEYS[kind]:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
     return ini
 

@@ -1,42 +1,40 @@
 """Exact k-nearest-neighbor classification with majority vote.
 
-Two searches give the same bits; which one runs changes only the time.
+One exact pass, `_nearest`, computes every distance and every top-k
+selection. It takes, for each query row, a set of candidate references, and
+`_search` chooses which:
 
-Every non-empty batch whose coordinates, and the references', are at most
-`_TREE_MAX_ABS` (1e150) in magnitude goes through a kd-tree screen
-(`_search_tree`), whatever the width. A `scipy.spatial.cKDTree` over the
-references is built on first use and kept on the `KnnModel`, so a loop of
-small batches does not rebuild it. One tree query proposes each row's
-k + 4 nearest references, and a certificate, derived in `_search_tree` for
-any width, says whether they hold every reference the exact answer can
-contain, ties at the k-th distance included. The proposals of a certified
-row are re-ranked with the scan's arithmetic; a row the certificate cannot
-vouch for falls back to the scan, alone. A kd-tree pays where the data
-varies along few directions (Friedman, Bentley & Finkel, 1977), which is
-the premise of reducing before classifying. It beat the scan at every
+- the kd-tree's proposals. Every non-empty batch whose coordinates, and the
+  references', are at most `_TREE_MAX_ABS` (1e150) in magnitude is put to a
+  `scipy.spatial.cKDTree` over the references, whatever the width; the tree
+  is built on first use and kept on the `KnnModel`, so a loop of small
+  batches does not rebuild it. One tree query proposes each row's k + 4
+  nearest references, and a certificate, derived in `_search` for any
+  width, says whether they hold every reference the exact answer can
+  contain, ties at the k-th distance included.
+- every reference, for a row the certificate cannot vouch for, and for
+  every row of a batch past the magnitude guard or of an empty one.
+
+The candidates only propose: the exact pass ranks them, so which source a
+row takes changes only the time, never the bits. A kd-tree pays where the
+data varies along few directions (Friedman, Bentley & Finkel, 1977), which
+is the premise of reducing before classifying. It beat a full scan at every
 benchmark shape (up to 256 features), and on low-rank data at 617; the one
 loss measured was isotropic uniform data, where every direction spreads
 alike: 4800 references, 1200 queries and 617 features took 9.5-10.0 s
-against the scan's 8.8-8.9 s (one thread). A GEMM-based screen for such
-wide, full-rank inputs is still planned. Besides its (q, k) results and
-the tree query's (q, k + 4) proposals, the screen holds the tree's
-O(n_ref) index and a re-rank scratch of at most `_BLOCK_BYTES`.
+against a full scan's 8.8-8.9 s (one thread). A GEMM-based screen for such
+wide, full-rank inputs is still planned.
 
-Coordinates past the guard, empty batches and the rows the certificate
-cannot vouch for go through a full scan under Euclidean distance
-(`_search_scan`), blocked so that its memory is bounded: query rows go in
-blocks whose distance rows take at most `_BLOCK_BYTES` (1 MiB), each block
-is filled from tiles of squared differences of at most the same size, and
-each row's k nearest are kept before the next block is scanned. With up to
-131072 references and 131072 features (so that one distance row, and one
-query-reference difference, fit the budget), one call holds about 2 MiB of
-scratch, besides its (q, k) results and the top-k candidate arrays, which
-grow towards block size only when most distances of a block tie.
-
-Both compute distances from explicit differences (not the expanded-square
-identity) summed over the contiguous last axis, so they are bitwise those of
+The pass computes distances from explicit differences (not the
+expanded-square identity): subtract, square, sum over the contiguous last
+axis and take the square root, so they are bitwise those of
 sqrt(((q[:, None] - r[None]) ** 2).sum(axis=2)) and a query equal to a
-reference is at exactly zero.
+reference is at exactly zero. Its memory is bounded: the candidates of a
+tile of rows, gathered as (rows, candidates, features) differences, take at
+most `_BLOCK_BYTES` (1 MiB), split by columns only where one row's would
+not fit. Besides its (q, k) results, a call holds the tree's O(n_ref)
+index, the tree query's (q, k + 4) proposals and that scratch; a batch
+that mixes both candidate sources also copies the query rows of each.
 
 There are two entry points, both over a (q, width) matrix of query rows and
 both answering in arrays: `neighbors` returns the (q, k) indices and
@@ -57,10 +55,8 @@ from scipy.spatial import cKDTree
 
 __all__ = ["KnnModel", "neighbors", "classify_batch"]
 
-# bytes of one block of distance rows, and of one tile of squared differences
+# bytes of one tile of gathered differences in the exact pass
 _BLOCK_BYTES = 1 << 20
-# columns per strided group of the top-k screen
-_SCREEN_WIDTH = 16
 # proposals per row beyond k, so that a row's k-th distance can be certified
 _TREE_EXTRA = 4
 # largest coordinate magnitude the tree screen takes: d squared differences
@@ -104,7 +100,7 @@ class KnnModel:
         """kd-tree over the references, built on first use and kept; None
         where a coordinate is past the magnitude guard, or the references
         have no columns. There is no width rule: the tree served every
-        benchmark shape faster than the scan, and lost only on isotropic
+        benchmark shape faster than a full scan, and lost only on isotropic
         uniform data (about 1.1x slower at 4800 x 617 references), which a
         GEMM-based screen, still planned, is meant to serve."""
         refs = self.references
@@ -126,20 +122,10 @@ def _check_queries(model: KnnModel, queries) -> np.ndarray:
 def _search(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances (both (q, k)) of every query's k nearest
     references, equal to a stable argsort of the full distance rows: the
-    kd-tree screen where it applies, else the scan."""
-    if (
-        len(queries)
-        and model._tree is not None
-        and max(queries.max(), -queries.min()) <= _TREE_MAX_ABS
-    ):
-        return _search_tree(model, queries)
-    return _search_scan(model, queries)
+    exact pass over the kd-tree's k + 4 proposals for the rows the
+    certificate vouches for, and over every reference for the others.
 
-
-def _search_tree(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_search_scan`'s result, from the kd-tree's k + 4 proposals per row.
-
-    Certificate. Let E be a pair's exact distance, D the one the scan
+    Certificate. Let E be a pair's exact distance, D the one the exact pass
     computes and T the tree's; the tree's search (eps = 0) is exact in its
     own arithmetic. Both round each of the d differences and
     squares (relative error u = eps / 2 each), sum d non-negative terms in
@@ -147,7 +133,7 @@ def _search_tree(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.n
     Numerical Algorithms, ch. 3) and take a square root, which halves that
     and adds u. So D and T lie within a factor 1 +- delta of E, with delta
     about (d + 4)u / 2 = (d + 4)eps / 4. The k references of smallest T have
-    D <= T_k(1 + delta)/(1 - delta), so the row's k-th scan distance D_k is
+    D <= T_k(1 + delta)/(1 - delta), so the row's k-th exact distance D_k is
     at most that, and every reference with D <= D_k, ties included, has
     T <= T_k((1 + delta)/(1 - delta))^2, about T_k(1 + (d + 4)eps).
     The bound T_k(1 + 4(d + 4)eps) keeps a factor 4 in hand for
@@ -163,110 +149,75 @@ def _search_tree(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.n
 
     The query returns the k + 4 references of smallest T. If the last of
     them lies beyond the bound, every reference within it was returned, and
-    re-ranking the proposals by D gives the exact answer. Otherwise the row
-    may have more candidates than the query returned, and it takes the scan.
-    When k + 4 >= n_ref every reference was returned, so no row falls back,
-    even when every distance ties.
-
-    The re-rank is the scan's arithmetic: subtract, square, sum over the
-    contiguous last axis, square root; then sort by (row, distance, index)
-    and keep k. Rows are gathered in blocks whose (rows, k + 4, d) scratch
-    fits `_BLOCK_BYTES`.
+    ranking the proposals by D gives the exact answer. Otherwise the row
+    may have more candidates than the query returned, and it takes every
+    reference. When k + 4 >= n_ref every reference was returned, so no row
+    needs more, even when every distance ties.
     """
     refs, k = model.references, model.k
     n_ref, dim = refs.shape
     n_q = len(queries)
-    width = min(k + _TREE_EXTRA, n_ref)
-    tree_dist, proposed = model._tree.query(queries, k=width)
-    tree_dist = tree_dist.reshape(n_q, width)
-    proposed = proposed.reshape(n_q, width)
+    fallback = np.ones(n_q, dtype=bool)
+    if n_q and model._tree is not None and max(queries.max(), -queries.min()) <= _TREE_MAX_ABS:
+        width = min(k + _TREE_EXTRA, n_ref)
+        tree_dist, proposed = model._tree.query(queries, k=width)
+        tree_dist = tree_dist.reshape(n_q, width)
+        proposed = proposed.reshape(n_q, width)
+        bound = tree_dist[:, k - 1] * (1 + 4 * (dim + 4) * np.finfo(np.float64).eps) + 1e-150
+        fallback = (tree_dist[:, -1] <= bound) & (width < n_ref)
+
+    def every_reference(rows: int) -> np.ndarray:
+        return np.broadcast_to(np.arange(n_ref), (rows, n_ref))
+
+    if fallback.all():
+        return _nearest(model, queries, every_reference(n_q))
+    if not fallback.any():
+        return _nearest(model, queries, proposed)
     indices = np.empty((n_q, k), dtype=np.intp)
     distances = np.empty((n_q, k))
-    fallback = np.zeros(n_q, dtype=bool)
-    if width < n_ref:
-        bound = tree_dist[:, k - 1] * (1 + 4 * (dim + 4) * np.finfo(np.float64).eps) + 1e-150
-        fallback = tree_dist[:, -1] <= bound
-    if fallback.any():
-        rows = np.flatnonzero(fallback)
-        indices[rows], distances[rows] = _search_scan(model, queries[rows])
-    certified = np.flatnonzero(~fallback)
-    block_rows = max(1, _BLOCK_BYTES // (8 * width * dim))
-    for start in range(0, len(certified), block_rows):
-        rows = certified[start : start + block_rows]
-        cols = proposed[rows]
-        diff = refs[cols]
-        np.subtract(queries[rows][:, None, :], diff, out=diff)
-        np.square(diff, out=diff)
-        dist = np.sqrt(diff.sum(axis=2))
-        order = np.lexsort((cols, dist))[:, :k]
-        indices[rows] = np.take_along_axis(cols, order, axis=1)
-        distances[rows] = np.take_along_axis(dist, order, axis=1)
+    certified = ~fallback
+    for rows, cols in (
+        (certified, proposed[certified]),
+        (fallback, every_reference(np.count_nonzero(fallback))),
+    ):
+        indices[rows], distances[rows] = _nearest(model, queries[rows], cols)
     return indices, distances
 
 
-def _search_scan(model: KnnModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances (both (q, k)) of every query's k nearest
-    references, from a scan of every distance.
+def _nearest(
+    model: KnnModel, queries: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances (both (q, k)) of each query row's k nearest
+    among its (q, c) candidate references `cols`, c >= k, distance-ascending
+    and lower index first on equal distances: a stable argsort's first k.
 
-    Query rows go in blocks whose distance rows fit `_BLOCK_BYTES`. Each
-    block is filled from (query rows x reference columns x features) tiles
-    of the same budget: subtract, square in place, and sum over the last
-    axis, the arithmetic of sqrt(((q[:, None] - r[None]) ** 2).sum(axis=2)),
-    so the distances are bitwise equal to it. `_smallest` then takes each
-    row's k nearest, as a stable argsort would.
+    Rows go in tiles whose gathered (rows, c, features) differences fit
+    `_BLOCK_BYTES`; where one row's do not, its candidates go in column
+    tiles of that budget. Each tile is subtracted, squared in place and
+    summed over its contiguous last axis, the arithmetic of
+    sqrt(((q[:, None] - r[None]) ** 2).sum(axis=2)), so the distances are
+    bitwise equal to it. `cols` may be a broadcast view: it is only sliced.
     """
     refs, k = model.references, model.k
-    n_ref, dim = refs.shape
-    n_q = queries.shape[0]
+    n_q, n_cols = cols.shape
+    pairs = max(1, _BLOCK_BYTES // (8 * max(1, refs.shape[1])))
+    rows = max(1, pairs // n_cols)
     indices = np.empty((n_q, k), dtype=np.intp)
     distances = np.empty((n_q, k))
-    rows = max(1, min(n_q, _BLOCK_BYTES // (8 * n_ref)))
-    pair_bytes = 8 * max(1, dim)
-    tile_cols = max(1, min(n_ref, _BLOCK_BYTES // pair_bytes))
-    tile_rows = max(1, min(rows, _BLOCK_BYTES // (pair_bytes * tile_cols)))
-    tile = np.empty(tile_rows * tile_cols * dim)
-    block = np.empty((rows, n_ref))
     for start in range(0, n_q, rows):
-        dist = block[: min(rows, n_q - start)]
-        for r0 in range(0, len(dist), tile_rows):
-            for c0 in range(0, n_ref, tile_cols):
-                out = dist[r0 : r0 + tile_rows, c0 : c0 + tile_cols]
-                (m, n), first = out.shape, start + r0
-                diff = tile[: m * n * dim].reshape(m, n, dim)
-                np.subtract(
-                    queries[first : first + m, None, :], refs[None, c0 : c0 + n, :], out=diff
-                )
-                np.square(diff, out=diff)
-                diff.sum(axis=2, out=out)
+        block = slice(start, start + rows)
+        cand = cols[block]
+        dist = np.empty(cand.shape)
+        for c0 in range(0, n_cols, pairs):
+            diff = refs[cand[:, c0 : c0 + pairs]]
+            np.subtract(queries[block, None, :], diff, out=diff)
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=dist[:, c0 : c0 + pairs])
         np.sqrt(dist, out=dist)
-        rows_found = slice(start, start + len(dist))
-        indices[rows_found], distances[rows_found] = _smallest(dist, k)
+        order = np.lexsort((cand, dist))[:, :k]
+        indices[block] = np.take_along_axis(cand, order, axis=1)
+        distances[block] = np.take_along_axis(dist, order, axis=1)
     return indices, distances
-
-
-def _smallest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns and values of the k smallest entries of every row, ascending,
-    equal values lower column first: a stable argsort's first k.
-
-    A bound screens the row first. The columns are split into at least k
-    strided groups; the k-th smallest group minimum is at least the row's
-    k-th smallest value, so every entry at or below it is a candidate, and
-    the candidates of all rows are sorted at once by (row, value, column).
-    A stable argsort of every block row made a scan of 3200 references at 10
-    features about 6x slower.
-    """
-    n_rows, n_cols = dist.shape
-    width = max(1, min(_SCREEN_WIDTH, n_cols // k))
-    groups = n_cols // width
-    group_min = dist[:, : width * groups].reshape(n_rows, width, groups).min(axis=1)
-    bound = np.partition(group_min, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.divmod(np.flatnonzero(dist <= bound), n_cols)
-    values = dist[rows, cols]
-    order = np.lexsort((values, rows))  # stable, and columns come ascending
-    counts = np.bincount(rows, minlength=n_rows)
-    first = np.cumsum(counts) - counts
-    picked = order[first[:, None] + np.arange(k)]
-    return cols[picked], values[picked]
 
 
 def _vote(

@@ -9,16 +9,17 @@ sides live in the same space.
 
 Reported timing splits the work into fit (normalizer + reducer + encoding
 the training rows, i.e. building the classification model), encode (test
-rows only) and classify (one `classify_batch` call: the kd-tree screen,
-the full scan where it falls back, and the vote). "Classification time" in
-aggregated results means encode + classify.
+rows only) and classify (one `classify_batch` call: the kd-tree's
+candidate proposals, the one exact pass over them or, where the tree cannot
+vouch for a row, over every reference, and the vote). "Classification time"
+in aggregated results means encode + classify.
 
 Each fold runs whole (fit and training, both encodes, kNN) with every loaded
 OpenBLAS held to one thread, whether it runs in the main process or in an
 `eval --jobs` worker, so seeded results do not depend on the host's CPU
 count. Training's batch products and the encodes gain nothing from threads,
 and after a threaded product OpenBLAS's workers busy-wait for about 0.1 s:
-on a two-CPU host that spin halved the speed of the kNN scan timed right
+on a two-CPU host that spin halved the speed of the kNN search timed right
 after the training fold's encode, and two --jobs workers with a two-thread
 OpenBLAS each ran the paper's ppl sweep four times slower.
 """
@@ -92,7 +93,8 @@ class PipelineConfig:
 
     reducer: "ae", "pca", "lda" or "identity". The autoencoder layer layout
     comes from `ppl`; pca/lda take `target_dim` directly or derive it from a
-    single `ppl` fraction of the feature count.
+    single `ppl` fraction of the feature count. ae and identity reject a
+    `target_dim`, which they could only ignore.
     """
 
     reducer: str = "ae"
@@ -111,6 +113,8 @@ class PipelineConfig:
             raise ValueError("autoencoder configuration needs a non-empty ppl")
         if any(f <= 0 for f in ppl):
             raise ValueError("ppl fractions must be positive")
+        if self.reducer in ("ae", "identity") and self.target_dim is not None:
+            raise ValueError(f"{self.reducer} takes no target_dim, got {self.target_dim}")
         if self.reducer in ("pca", "lda") and self.target_dim is None and len(ppl) != 1:
             raise ValueError(
                 f"{self.reducer} takes target_dim or a single ppl fraction, got {ppl}"

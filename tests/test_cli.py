@@ -194,6 +194,35 @@ class TestEval:
         assert f"unknown key '{key}' in section [{section}]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section", ["default", "config pca", "Defaults", "configs:p", "DEFAULT"]
+    )
+    def test_unknown_experiment_file_section_is_a_usage_error(
+        self, blob_csvs, tmp_path, capsys, section
+    ):
+        # a misspelt section was once skipped whole: [default] lost its
+        # settings and [config pca] its configuration; [DEFAULT] was read as
+        # configparser's section shared by all, or ignored with no other
+        ini = tmp_path / "typo.ini"
+        ini.write_text(f"[{section}]\nreducer = pca\nppl = 0.5\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", blob_csvs[0], "--config", str(ini), "--seed", "1",
+                     "--reps", "1", "--folds", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ini}: unknown section [{section}]" in err
+        assert not out.exists()
+
+    def test_target_dim_for_an_autoencoder_is_a_usage_error(self, blob_csvs, tmp_path, capsys):
+        ini = tmp_path / "ae.ini"
+        ini.write_text("[config:ae]\nreducer = ae\ntarget_dim = 10\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", blob_csvs[0], "--config", str(ini), "--seed", "1",
+                     "--reps", "1", "--folds", "4", "--out", str(out)])
+        assert code == 2
+        assert "ae takes no target_dim, got 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_default_value_fails_even_when_a_flag_wins(self, blob_csvs, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[defaults]\nk = five\n", encoding="utf-8")

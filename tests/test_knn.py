@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from aeknn import knn
@@ -236,8 +237,11 @@ def batch_answers(model, queries):
 
 
 def scan_answers(model, queries):
-    """What the scan alone answers, the reference for the tree screen."""
-    indices, distances = knn._search_scan(model, queries)
+    """What a full scan answers: the exact pass over every reference, the
+    reference for the tree's candidates."""
+    n_ref = len(model.references)
+    cols = np.broadcast_to(np.arange(n_ref), (len(queries), n_ref))
+    indices, distances = knn._nearest(model, queries, cols)
     return (*knn._vote(model, indices, distances), indices, distances)
 
 
@@ -315,8 +319,20 @@ class TestBitwiseAgainstBroadcastFormula:
     @pytest.mark.parametrize("block_bytes", [None, 2048])
     @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 31, 32, 33, 129, 256, 300])
     def test_labels_fractions_indices_and_distance_bits(self, width, block_bytes, monkeypatch):
+        self.check(width, block_bytes, monkeypatch)
+
+    @pytest.mark.parametrize("block_bytes", [None, 2048])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 20, 31, 32, 33, 129, 256, 300])
+    def test_same_bits_with_every_row_on_every_reference(self, width, block_bytes, monkeypatch):
+        # no magnitude passes a negative guard, so no tree is built and every
+        # row takes every reference as its candidates
+        monkeypatch.setattr(knn, "_TREE_MAX_ABS", -1.0)
+        self.check(width, block_bytes, monkeypatch)
+
+    @staticmethod
+    def check(width, block_bytes, monkeypatch):
         if block_bytes is not None:
-            # many blocks and tiles with ragged edges
+            # many row tiles, and column tiles with ragged edges
             monkeypatch.setattr(knn, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(width)
         n_ref, n_q = 150, 40
@@ -332,7 +348,7 @@ class TestBitwiseAgainstBroadcastFormula:
 
 
 def test_classify_batch_memory_is_bounded_at_musk_shape():
-    # one scan at a musk-like shape (about 5300 x 166 references, 64 queries);
+    # one search at a musk-like shape (about 5300 x 166 references, 64 queries);
     # materializing a (64, 5300, 166) difference block alone takes 0.45 GB
     rng = np.random.default_rng(5)
     model = KnnModel(
@@ -401,10 +417,11 @@ class TestTreeScreenAgainstScan:
             assert_same_answers(batch_answers(model, queries), scan_answers(model, queries))
 
     def test_coordinates_past_the_guard_take_the_scan(self, monkeypatch):
-        def no_tree(*args):
-            raise AssertionError("the tree screen ran")
+        class UnqueriedTree(cKDTree):
+            def query(self, *args, **kwargs):
+                raise AssertionError("the tree was queried")
 
-        monkeypatch.setattr(knn, "_search_tree", no_tree)
+        monkeypatch.setattr(knn, "cKDTree", UnqueriedTree)
         labels = np.array([0, 1, 0, 1])
         big = np.array([[2e150], [-1e300], [3.0], [0.0]])
         with np.errstate(over="ignore"):
@@ -426,8 +443,8 @@ class TestTreeScreenAgainstScan:
         # against 1 + 41.
         # The five single-coordinate references lie between (1 + 50 to 70
         # ulps in both), so the tree proposes them alone, and only the
-        # width term of the slack sends the row to the scan, which finds
-        # `wide` nearest
+        # width term of the slack sends the row to the scan over every
+        # reference, which finds `wide` nearest
         eps = np.finfo(np.float64).eps
         wide = np.zeros(617)
         wide[0], wide[4::4] = 1.0, np.sqrt(0.51 * eps)
@@ -442,31 +459,51 @@ class TestTreeScreenAgainstScan:
 
     def test_all_references_equal_fall_back_row_by_row(self, monkeypatch):
         # every distance of a row ties, so the k + 4 proposals cannot certify
-        # the k-th; each row must reach the scan, which alone knows the
-        # lower-index rule over all 60 ties
-        scanned = []
-        real_scan = knn._search_scan
+        # the k-th; each row must reach the scan over every reference, which
+        # alone knows the lower-index rule over all 60 ties
+        passes = []
+        real_nearest = knn._nearest
 
-        def recording_scan(model, queries):
-            scanned.append(len(queries))
-            return real_scan(model, queries)
+        def recording_nearest(model, queries, cols):
+            # a broadcast of every reference repeats one row: zero row stride
+            source = "every" if cols.strides[0] == 0 else "tree"
+            passes.append((source, cols.shape))
+            return real_nearest(model, queries, cols)
 
-        monkeypatch.setattr(knn, "_search_scan", recording_scan)
+        monkeypatch.setattr(knn, "_nearest", recording_nearest)
         references = np.tile([0.5, -1.0, 2.0], (60, 1))
         labels = np.arange(60) % 3
         queries = np.array([[0.5, -1.0, 2.0], [1.0, 1.0, 1.0], [-3.0, 0.0, 7.0]])
-        for k in (1, 5, 55):
-            scanned.clear()
+        for k in (1, 5, 55, 56):
+            passes.clear()
             model = KnnModel(references=references, labels=labels, k=k, n_classes=3)
             got = batch_answers(model, queries)
-            # one scan of all three rows per entry point
-            assert scanned == [3, 3]
             want = rule_oracle(broadcast_reference(references, queries), labels, 3, k)
             assert_same_answers(got, want)
-        # with k + 4 >= n_ref the query returns every reference: no fallback
-        scanned.clear()
-        classify_batch(KnnModel(references=references, labels=labels, k=56), queries)
-        assert scanned == []
+            # one pass over all three rows per entry point; with k + 4 >= n_ref
+            # the tree's proposals are every reference, so none falls back
+            source = "tree" if k == 56 else "every"
+            assert passes == [(source, (3, 60))] * 2
+
+    def test_batch_mixing_both_sources_matches_the_scan(self, monkeypatch):
+        # 40 equal references tie for the queries at their point, which take
+        # every reference; the other queries are certified from the proposals
+        sources = []
+        real_nearest = knn._nearest
+
+        def recording_nearest(model, queries, cols):
+            sources.append((cols.strides[0] == 0, len(queries)))
+            return real_nearest(model, queries, cols)
+
+        monkeypatch.setattr(knn, "_nearest", recording_nearest)
+        rng = np.random.default_rng(11)
+        references = np.vstack([rng.normal(size=(400, 5)), np.ones((40, 5))])
+        queries = np.vstack([rng.normal(size=(100, 5)), np.ones((10, 5))])
+        queries = queries[rng.permutation(110)]
+        model = KnnModel(references=references, labels=np.arange(440) % 4, k=3)
+        got = batch_answers(model, queries)
+        assert sorted(sources[:2]) == [(False, 100), (True, 10)]
+        assert_same_answers(got, scan_answers(model, queries))
 
 
 def traced_peak(call):
@@ -492,9 +529,22 @@ def test_tree_screen_memory_is_bounded_at_a_tall_narrow_shape():
 
 
 def test_tree_screen_memory_is_bounded_when_every_distance_ties():
-    # every row falls back to the scan over 20000 equal references
+    # every row falls back to all of 20000 equal references; one (rows,
+    # n_ref) candidate array for the batch would take 32 MB
     model = KnnModel(
         references=np.ones((20000, 8)), labels=np.arange(20000) % 3, k=5
     )
     queries = np.random.default_rng(9).random((200, 8))
+    assert traced_peak(lambda: classify_batch(model, queries)) < 8 * 2**20
+
+
+def test_memory_is_bounded_at_a_wide_shape_with_many_queries():
+    # 2000 x 256 references (4.1 MB) and 6000 queries (12.3 MB): a tile sized
+    # by the candidate count alone, not the width, gathers 256 times the
+    # budget, and a copy of the queries alone would pass the bound
+    rng = np.random.default_rng(10)
+    model = KnnModel(
+        references=rng.random((2000, 256)), labels=rng.integers(0, 4, size=2000), k=5
+    )
+    queries = rng.random((6000, 256))
     assert traced_peak(lambda: classify_batch(model, queries)) < 8 * 2**20

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeknn import synth
 from aeknn.autoencoder import TrainConfig
@@ -333,6 +335,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="single ppl fraction"):
             PipelineConfig(reducer=reducer, ppl=ppl)
 
+    @pytest.mark.parametrize("reducer", ["ae", "identity"])
+    def test_target_dim_rejected_where_it_would_be_ignored(self, reducer):
+        # reducer = ae with target_dim = 10 once trained ae_0.75 without a word
+        with pytest.raises(ValueError, match=f"{reducer} takes no target_dim, got 10"):
+            PipelineConfig(reducer=reducer, target_dim=10)
+
     @pytest.mark.parametrize("ppl", [(0.5, 0.25), ()])
     def test_target_dim_overrides_ppl(self, ppl):
         assert PipelineConfig(reducer="pca", ppl=ppl, target_dim=3).label() == "pca_3"
@@ -346,3 +354,99 @@ class TestConfigValidation:
         )
         assert PipelineConfig(reducer="pca", ppl=(0.5,)).label() == "pca_0.5"
         assert PipelineConfig(reducer="lda", target_dim=7).label() == "lda_7"
+
+
+def numpy_cv_oracle(features, labels, n_classes, plan, k, positive=1):
+    """Per-fold (predictions, vote fractions) and the (accuracy, fscore, auc)
+    means of identity-reducer cross-validation, built from numpy alone:
+    min-max scaling fitted on the training fold (a constant feature gets
+    range one, test values are clamped into [0, 1]), the broadcast distance
+    formula, the documented tie rules (equal distances prefer the lower
+    reference index; a vote tie goes to the tied class with the nearest
+    member, then to the lower class index), and metrics recomputed from the
+    predictions: binary problems score class `positive`, others take macro F
+    over all classes and one-vs-rest AUC over the classes present, each AUC
+    counted over every (positive, negative) pair with ties as one half."""
+    folds, per_fold = [], []
+    for _, _, train, test in plan.iter_splits():
+        lo, hi = features[train].min(axis=0), features[train].max(axis=0)
+        hi = np.where(hi == lo, lo + 1.0, hi)
+        refs = np.clip((features[train] - lo) / (hi - lo), 0.0, 1.0)
+        queries = np.clip((features[test] - lo) / (hi - lo), 0.0, 1.0)
+        dist = np.sqrt(((queries[:, None, :] - refs[None, :, :]) ** 2).sum(axis=2))
+        kk = min(k, len(train))
+        predictions, scores = [], []
+        for row in dist:
+            order = np.lexsort((np.arange(len(row)), row))[:kk]
+            votes = labels[train][order]
+            counts = np.bincount(votes, minlength=n_classes)
+            tied = np.flatnonzero(counts == counts.max())
+            predictions.append(min((row[order][votes == c].min(), c) for c in tied)[1])
+            scores.append(counts / kk)
+        predictions, scores = np.array(predictions), np.array(scores)
+        folds.append((predictions, scores))
+
+        true = labels[test]
+        f1 = []
+        for c in range(n_classes):
+            tp = np.count_nonzero((predictions == c) & (true == c))
+            fp = np.count_nonzero((predictions == c) & (true != c))
+            fn = np.count_nonzero((predictions != c) & (true == c))
+            f1.append(0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn))
+
+        def pair_auc(column, is_positive):
+            pos, neg = column[is_positive][:, None], column[~is_positive][None, :]
+            return np.mean((pos > neg) + 0.5 * (pos == neg))
+
+        if n_classes == 2:
+            fscore = f1[positive]
+            area = pair_auc(scores[:, positive], true == positive)
+        else:
+            fscore = np.mean(f1)
+            area = np.mean([pair_auc(scores[:, c], true == c) for c in np.unique(true)])
+        per_fold.append((np.mean(predictions == true), fscore, area))
+    return folds, np.mean(per_fold, axis=0)
+
+
+@st.composite
+def cv_problems(draw):
+    """Small datasets with 2 to 7 classes of skewed sizes, duplicated rows,
+    integer-grid or normal features and sometimes a constant column."""
+    n_classes = draw(st.integers(2, 7))
+    n_folds = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(n_folds, 24), min_size=n_classes, max_size=n_classes))
+    n, d = sum(sizes), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        features = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        features = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=d)
+    copies = draw(st.integers(0, n // 2))
+    features[rng.choice(n, size=copies, replace=False)] = features[rng.choice(n, size=copies)]
+    if draw(st.booleans()):
+        features[:, 0] = 4.0
+    labels = rng.permutation(np.repeat(np.arange(n_classes), sizes))
+    k = draw(st.integers(1, 7))
+    return features, labels, n_classes, n_folds, draw(st.integers(1, 2)), k, draw(st.integers(0, 999))
+
+
+class TestRunCvAgainstNumpyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(cv_problems())
+    def test_identity_predictions_scores_and_metrics(self, problem):
+        features, labels, n_classes, n_folds, reps, k, seed = problem
+        data = Dataset(
+            features=features,
+            labels=labels,
+            class_names=tuple(f"c{i}" for i in range(n_classes)),
+        )
+        plan = make_folds(data, reps, n_folds, seed)
+        result = run_cv(data, plan, PipelineConfig(reducer="identity", k=k))
+        folds, metrics = numpy_cv_oracle(features, labels, n_classes, plan, k)
+        assert len(result.fold_results) == len(folds) == reps * n_folds
+        for got, (predictions, scores) in zip(result.fold_results, folds):
+            assert np.array_equal(got.predictions, predictions)
+            assert got.scores.shape == scores.shape
+            assert got.scores.tobytes() == scores.tobytes()
+        got_metrics = [result.accuracy, result.fscore, result.auc_score]
+        np.testing.assert_allclose(got_metrics, metrics, rtol=0, atol=1e-12)
