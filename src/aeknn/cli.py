@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .autoencoder import TrainConfig
 from .dataset import Dataset, FoldPlan, load_csv, make_folds
-from .pipeline import PipelineConfig, run_cv
+from .pipeline import PipelineConfig, run_cv, usable_cpus
 from .stats import ResultMatrix, friedman, wilcoxon_signed_rank
 
 METRICS = ("accuracy", "fscore", "auc", "time")
@@ -246,10 +246,13 @@ def _resolve_spec(args) -> ExperimentSpec:
     )
 
 
-def _run_cell(data: Dataset, plan: FoldPlan, cfg: PipelineConfig, positive: int) -> dict:
+def _run_cell(
+    data: Dataset, plan: FoldPlan, cfg: PipelineConfig, positive: int, workers: int | None
+) -> dict:
     """One (dataset, configuration) cell on its dataset's shared parse and
-    fold plan; module-level so --jobs workers can unpickle it."""
-    result = run_cv(data, plan, cfg, positive=positive)
+    fold plan; module-level so --jobs workers can unpickle it. `workers`
+    caps the processes `run_cv` fits the folds in."""
+    result = run_cv(data, plan, cfg, positive=positive, workers=workers)
     audit = ["repetition,fold,row_id,true_label,predicted_label," + ",".join(
         f"score_{c}" for c in data.class_names
     )]
@@ -270,6 +273,7 @@ def _run_cell(data: Dataset, plan: FoldPlan, cfg: PipelineConfig, positive: int)
             "time": result.classification_seconds,
         },
         "fit_seconds": result.fit_seconds,
+        "fold_workers": result.fold_workers,
         "audit_text": "\n".join(audit) + "\n",
     }
 
@@ -317,6 +321,9 @@ def cmd_eval(args) -> int:
         if spec.jobs > 1
         else _InlineExecutor()
     )
+    # a --jobs worker fits its cell's folds in process, so no more than
+    # --jobs processes fit at once
+    fold_workers = 1 if spec.jobs > 1 else None
     with pool:
         for path, ds in zip(spec.datasets, dataset_names):
             try:
@@ -328,7 +335,9 @@ def cmd_eval(args) -> int:
                 futures.update(((ds, label), failed) for label in labels)
                 continue
             for label, cfg in spec.configs:
-                futures[(ds, label)] = pool.submit(_run_cell, data, plans[ds], cfg, spec.positive)
+                futures[(ds, label)] = pool.submit(
+                    _run_cell, data, plans[ds], cfg, spec.positive, fold_workers
+                )
 
     cells: dict[tuple[str, str], dict] = {}
     any_failed = False
@@ -344,6 +353,7 @@ def cmd_eval(args) -> int:
             "status": "ok",
             "metrics": outcome["metrics"],
             "fit_seconds": outcome["fit_seconds"],
+            "fold_workers": outcome["fold_workers"],
             "fold_plan_fingerprint": plans[key[0]].fingerprint(),
         }
         _atomic_write(os.path.join(folds_dir, f"{key[0]}__{key[1]}.csv"), outcome["audit_text"])
@@ -367,6 +377,7 @@ def cmd_eval(args) -> int:
         "version": __version__,
         "spec": spec.resolved(),
         "fingerprint": fingerprint.hexdigest(),
+        "nproc": usable_cpus(),
         "cells": {f"{ds}::{label}": cell for (ds, label), cell in sorted(cells.items())},
     }
     _atomic_write(

@@ -157,7 +157,9 @@ class NormalizationStats:
     def n_features(self) -> int:
         return self.minimum.shape[0]
 
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
+    def apply(self, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """`matrix` scaled to [0, 1], written into `out` (which may be
+        `matrix` itself) or, by default, into a new array."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape[-1] != self.n_features:
             raise ValueError(
@@ -166,7 +168,7 @@ class NormalizationStats:
             )
         # one output, scaled and clipped in place: the bits of
         # np.clip((matrix - minimum) / (maximum - minimum), 0, 1)
-        scaled = np.subtract(matrix, self.minimum)
+        scaled = np.subtract(matrix, self.minimum, out=out)
         np.divide(scaled, self.maximum - self.minimum, out=scaled)
         return np.clip(scaled, 0.0, 1.0, out=scaled)
 

@@ -14,11 +14,21 @@ candidate proposals, the one exact pass over them or, where the tree cannot
 vouch for a row, over every reference, and the vote). "Classification time"
 in aggregated results means encode + classify.
 
+`run_cv` trains an autoencoder configuration's folds side by side: forked
+children fit the folds' normalizers and reducers, one child per usable CPU
+(at most one per fold), and send them back through pipes; then the parent
+encodes and classifies each fold alone, with no child alive, so the time
+column is measured as when folds run one after another. A pre-fitted fold's
+fit time is the child's fit plus the parent's normalize and encode of the
+training rows. Every other configuration, and any run allowed one worker,
+runs its folds one after another in process.
+
 Each fold runs whole (fit and training, both encodes, kNN) with every loaded
-OpenBLAS held to one thread, whether it runs in the main process or in an
-`eval --jobs` worker, so seeded results do not depend on the host's CPU
-count. Training's batch products and the encodes gain nothing from threads,
-and after a threaded product OpenBLAS's workers busy-wait for about 0.1 s:
+OpenBLAS held to one thread, whether it runs in the main process, in an
+`eval --jobs` worker or, for its fit, in one of `run_cv`'s forked fold
+workers, so seeded results do not depend on the host's CPU count.
+Training's batch products and the encodes gain nothing from threads, and
+after a threaded product OpenBLAS's workers busy-wait for about 0.1 s:
 on a two-CPU host that spin halved the speed of the kNN search timed right
 after the training fold's encode, and two --jobs workers with a two-thread
 OpenBLAS each ran the paper's ppl sweep four times slower.
@@ -27,16 +37,20 @@ OpenBLAS each ran the paper's ppl sweep four times slower.
 from __future__ import annotations
 
 import ctypes
+import os
+import pickle
+import signal
 import threading
 import time
-from contextlib import contextmanager
+import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
 
 from .autoencoder import TrainConfig
-from .dataset import Dataset, FoldPlan, fit_normalizer
+from .dataset import Dataset, FoldPlan, SubsetView, fit_normalizer
 from .knn import KnnModel, classify_batch
 from .metrics import ConfusionMatrix, accuracy, auc, f_score
 from .reducers import fit_reducer
@@ -69,7 +83,16 @@ def _openblas_thread_counts() -> tuple:
     return tuple(counts)
 
 
-_blas_lock = threading.Lock()
+def _new_blas_lock() -> None:
+    """A free `_blas_lock`; a forked child takes a new one, since another
+    thread of its parent may have held the old one at the fork."""
+    global _blas_lock
+    _blas_lock = threading.Lock()
+
+
+_new_blas_lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_blas_lock)
 
 
 @contextmanager
@@ -191,13 +214,16 @@ def _fit_fold(train, cfg: PipelineConfig):
     return stats, reducer, train_matrix
 
 
-def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
+def run_fold(train, test, cfg: PipelineConfig, fitted=None) -> FoldResult:
     """Train on one fold, predict the other.
 
     `train`/`test` are Dataset or SubsetView objects sharing the feature
     width and class universe. Training classes absent from the test fold
     (and vice versa) are fine; a class unseen in training can only be
-    predicted wrong.
+    predicted wrong. `fitted`, when given, is the training fold's
+    `(stats, reducer, fit seconds)` as fitted elsewhere (in `run_cv`'s fold
+    workers); the fold then normalizes and encodes its training rows with
+    them, and its fit time adds those seconds.
     """
     if train.n_samples == 0:
         raise ValueError("training fold is empty")
@@ -209,9 +235,20 @@ def run_fold(train, test, cfg: PipelineConfig) -> FoldResult:
 
     with _one_blas_thread():
         t0 = time.perf_counter()
-        stats, reducer, train_matrix = _fit_fold(train, cfg)
+        if fitted is None:
+            stats, reducer, train_matrix = _fit_fold(train, cfg)
+            fitted_seconds = 0.0
+        else:
+            stats, reducer, fitted_seconds = fitted
+            # a view gathers its rows on each read, so they are this fold's
+            # own to normalize in place
+            train_matrix = train.features
+            train_matrix = stats.apply(
+                train_matrix, out=train_matrix if isinstance(train, SubsetView) else None
+            )
         encoded_train = reducer.transform(train_matrix)
-        fit_seconds = time.perf_counter() - t0
+        del train_matrix  # freed before the kNN, which needs only the codes
+        fit_seconds = fitted_seconds + time.perf_counter() - t0
 
         t0 = time.perf_counter()
         encoded_test = reducer.transform(stats.apply(test.features))
@@ -251,6 +288,7 @@ class CvResult:
     auc_score: float
     fit_seconds: float
     classification_seconds: float
+    fold_workers: int  # processes that fitted the folds; 1 when fitted in process
 
     @property
     def error_rate(self) -> float:
@@ -271,28 +309,162 @@ def _fold_metrics(result: FoldResult, positive: int) -> tuple[float, float, floa
     return acc, f, area
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fold_workers(cfg: PipelineConfig, n_splits: int, workers: int | None) -> int:
+    """Processes to fit the folds in: forked children only where an
+    autoencoder is trained, since a fork costs more than any other fit."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if cfg.reducer != "ae" or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(usable_cpus() if workers is None else workers, n_splits))
+
+
+def _naming_fold(exc: Exception, rep: int, fold: int) -> Exception:
+    """`exc` again, of its own type where that takes one message, with the
+    fold it came from named first."""
+    try:
+        return type(exc)(f"rep {rep} fold {fold}: {exc}")
+    except Exception:
+        return RuntimeError(f"rep {rep} fold {fold}: {type(exc).__name__}: {exc}")
+
+
+def _fit_in_child(write_fd: int, splits) -> None:
+    """Fit each split's (stats, reducer) and pickle them, with each fit's
+    seconds, into `write_fd`; a failing fit ends the list and is sent as
+    (rep, fold, exception). Never returns: the child leaves through
+    `os._exit`, so no code of its parent runs on in it.
+
+    The child runs on the one BLAS thread it was forked with and sets no
+    count itself: OpenBLAS shuts its thread pool down at a fork and starts
+    it again at the next count set, and the new workers spin for about
+    0.1 s, here against the training."""
+    status = 1
+    try:
+        fits, failure = [], None
+        for rep, fold, train, _, cfg in splits:
+            t0 = time.perf_counter()
+            try:
+                stats, reducer, _ = _fit_fold(train, cfg)
+            except Exception as exc:
+                if hasattr(exc, "add_note"):
+                    exc.add_note("in the fold worker:\n" + traceback.format_exc())
+                failure = (rep, fold, exc)
+                break
+            fits.append((stats, reducer, time.perf_counter() - t0))
+        if failure is not None:
+            try:
+                pickle.loads(pickle.dumps(failure))
+            except Exception:  # an exception that cannot cross the pipe as it is
+                rep, fold, exc = failure
+                failure = (rep, fold, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        payload = pickle.dumps((fits, failure))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fit_in_children(splits, workers: int) -> list:
+    """Each split's (stats, reducer, fit seconds), in plan order, fitted in
+    `workers` forked children; split i goes to child i mod workers. Every
+    child is killed and reaped before this returns or raises."""
+    children = []  # (pid, read end, split positions)
+    statuses = {}
+    try:
+        # the children inherit the hold; leaving it restarts this process's
+        # OpenBLAS pools now, so their workers spin while the children fit,
+        # not during the classify timers
+        with _one_blas_thread():
+            for worker in range(workers):
+                positions = range(worker, len(splits), workers)
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    _fit_in_child(write_fd, [splits[p] for p in positions])
+                os.close(write_fd)
+                children.append((pid, os.fdopen(read_fd, "rb"), positions))
+        sent = []  # each child's (fits, failure), or None if it died first
+        for _, pipe, _ in children:
+            try:
+                sent.append(pickle.load(pipe))
+            except Exception:  # nothing, or only a part, came through
+                sent.append(None)
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+
+    fitted = [None] * len(splits)
+    for (pid, _, positions), outcome in zip(children, sent):
+        if outcome is None:
+            names = ", ".join(f"rep {splits[p][0]} fold {splits[p][1]}" for p in positions)
+            code = os.waitstatus_to_exitcode(statuses[pid])
+            how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+            raise RuntimeError(f"the fold worker fitting {names} {how} before sending its fits")
+        fits, failure = outcome
+        if failure is not None:
+            rep, fold, exc = failure
+            raise _naming_fold(exc, rep, fold) from exc
+        for position, fit in zip(positions, fits):
+            fitted[position] = fit
+    return fitted
+
+
 def run_cv(
     data: Dataset,
     plan: FoldPlan,
     cfg: PipelineConfig,
     positive: int = 1,
+    workers: int | None = None,
 ) -> CvResult:
     """Run every (repetition, fold) split of the plan and average the metrics.
 
     Each fold trains with its own RNG stream derived from
     (cfg.train_cfg.seed, repetition, fold), so folds are independent and the
     whole run is reproducible from the seed.
+
+    An autoencoder configuration fits its folds in forked children, at most
+    `workers` of them (default: the CPUs this process may use), then
+    encodes and classifies each fold alone in this process; the bytes are
+    those of fitting every fold here, which is what any other configuration,
+    `workers=1` or a platform without `os.fork` does. An exception from a
+    fold is raised again with its type, its message prefixed
+    `rep R fold F:`; a child that dies without sending its fits raises a
+    `RuntimeError` naming its folds and its exit status.
     """
     if plan.n_samples != data.n_samples:
         raise ValueError("fold plan was built for a different dataset size")
-    results = []
-    per_fold = []
+    splits = []
     for rep, fold, train_idx, test_idx in plan.iter_splits():
         fold_seed = int(
             np.random.SeedSequence([cfg.train_cfg.seed, rep, fold]).generate_state(1)[0]
         )
         fold_cfg = replace(cfg, train_cfg=replace(cfg.train_cfg, seed=fold_seed))
-        result = run_fold(data.subset(train_idx), data.subset(test_idx), fold_cfg)
+        splits.append((rep, fold, data.subset(train_idx), data.subset(test_idx), fold_cfg))
+    fold_workers = _fold_workers(cfg, len(splits), workers)
+    fitted = _fit_in_children(splits, fold_workers) if fold_workers > 1 else [None] * len(splits)
+    results = []
+    per_fold = []
+    for (rep, fold, train, test, fold_cfg), fit in zip(splits, fitted):
+        try:
+            result = run_fold(train, test, fold_cfg, fitted=fit)
+        except Exception as exc:
+            raise _naming_fold(exc, rep, fold) from exc
         results.append(result)
         per_fold.append(_fold_metrics(result, positive))
     metrics = np.array(per_fold)
@@ -303,4 +475,5 @@ def run_cv(
         auc_score=float(metrics[:, 2].mean()),
         fit_seconds=float(np.mean([r.fit_seconds for r in results])),
         classification_seconds=float(np.mean([r.classification_seconds for r in results])),
+        fold_workers=fold_workers,
     )

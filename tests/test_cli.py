@@ -247,12 +247,14 @@ class TestEval:
         ini = tmp_path / "exp.ini"
         ini.write_text(
             "[config:knn]\nreducer = identity\n\n"
-            "[config:pca1]\nreducer = pca\ntarget_dim = 2\n",
+            "[config:pca1]\nreducer = pca\ntarget_dim = 2\n\n"
+            "[config:ae]\nreducer = ae\nppl = 0.5\n",
             encoding="utf-8",
         )
         args = [
             "eval", "--dataset", blob_csvs[0], "--dataset", blob_csvs[1],
             "--config", str(ini), "--seed", "13", "--reps", "1", "--folds", "4",
+            "--epochs", "3", "--lr", "0.5",
         ]
         seq = tmp_path / "seq"
         par = tmp_path / "par"
@@ -262,9 +264,19 @@ class TestEval:
             assert (seq / f"{metric}.csv").read_bytes() == (par / f"{metric}.csv").read_bytes()
         # the audit CSVs and plan sidecars too
         names = sorted(os.listdir(seq / "folds"))
-        assert names == sorted(os.listdir(par / "folds")) and len(names) == 6
+        assert names == sorted(os.listdir(par / "folds")) and len(names) == 8
         for name in names:
             assert (seq / "folds" / name).read_bytes() == (par / "folds" / name).read_bytes()
+        # with --jobs 2 each cell fits its folds in its own worker; with one
+        # job an autoencoder cell fits them in forked children
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (seq, par)]
+        forked = min(pipeline.usable_cpus(), 4) if hasattr(os, "fork") else 1
+        for manifest, ae_workers in zip(manifests, (forked, 1)):
+            assert manifest["nproc"] == pipeline.usable_cpus()
+            assert {key: cell["fold_workers"] for key, cell in manifest["cells"].items()} == {
+                f"{ds}::{label}": ae_workers if label == "ae" else 1
+                for ds in ("alpha", "beta") for label in ("knn", "pca1", "ae")
+            }
 
     def test_each_dataset_parsed_and_planned_once(self, blob_csvs, tmp_path, monkeypatch):
         calls = {"load_csv": [], "make_folds": 0}

@@ -231,6 +231,16 @@ class TestNormalizer:
         out = stats.apply(np.array([[2.0], [6.0], [4.0]]))
         assert out.tolist() == [[0.0], [1.0], [0.5]]
 
+    def test_in_place_output_has_the_same_bits(self):
+        rng = np.random.default_rng(3)
+        train = rng.normal(size=(50, 7)) * 1e3
+        stats = fit_normalizer(train)
+        matrix = rng.normal(size=(40, 7)) * 2e3  # some rows fall outside and clip
+        expected = stats.apply(matrix)
+        written = stats.apply(matrix, out=matrix)
+        assert written is matrix
+        assert written.tobytes() == expected.tobytes()
+
     def test_feature_count_mismatch(self):
         stats = fit_normalizer(np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ValueError, match="feature"):

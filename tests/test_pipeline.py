@@ -1,3 +1,5 @@
+import os
+import signal
 import sys
 import threading
 import time
@@ -24,6 +26,12 @@ def blob_data(n=120, classes=3, features=6, seed=0):
 
 
 fast_ae = TrainConfig(epochs=3, batch_size=16, learning_rate=0.5, seed=1)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunFold:
@@ -208,6 +216,38 @@ class TestRunFold:
         assert inside == [[1] * len(counts)] * 2000
         assert after == [2] * len(counts)
 
+    @needs_fork
+    def test_forked_child_takes_the_hold_while_a_parent_thread_has_it(self):
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with pipeline._blas_lock:
+                held.set()
+                release.wait(timeout=60)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert held.wait(timeout=60)
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with pipeline._one_blas_thread():
+                        code = 0
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 10
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if done[0] == 0:  # deadlocked: end it, then fail
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
 
 class TestRunCv:
     def test_deterministic_given_seed(self):
@@ -273,6 +313,105 @@ class TestRunCv:
         for a, b in zip(one.fold_results, two.fold_results):
             assert a.predictions.tobytes() == b.predictions.tobytes()
             assert a.scores.tobytes() == b.scores.tobytes()
+
+
+@needs_fork
+class TestForkedFits:
+    """An autoencoder's folds fit in forked children, then encode and
+    classify one by one in the parent."""
+
+    @pytest.mark.parametrize("ppl", [(0.25,), (0.5, 0.25)])
+    def test_same_bytes_with_one_and_two_workers(self, ppl):
+        data = synth.gaussian_blobs(n_samples=150, n_classes=4, n_features=24, seed=14)
+        plan = make_folds(data, 2, 3, seed=14)
+        cfg = PipelineConfig(reducer="ae", ppl=ppl, k=5, train_cfg=fast_ae)
+        one = run_cv(data, plan, cfg, workers=1)
+        two = run_cv(data, plan, cfg, workers=2)
+        assert (one.fold_workers, two.fold_workers) == (1, 2)
+        assert (one.accuracy, one.fscore, one.auc_score) == (two.accuracy, two.fscore, two.auc_score)
+        for a, b in zip(one.fold_results, two.fold_results, strict=True):
+            assert a.predictions.tobytes() == b.predictions.tobytes()
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.test_indices.tobytes() == b.test_indices.tobytes()
+            assert a.effective_dim == b.effective_dim
+            assert b.fit_seconds > 0.0
+        assert_no_child_left()
+
+    def test_no_child_is_alive_while_a_fold_classifies(self, monkeypatch):
+        alone = []
+        real_classify = pipeline.classify_batch
+
+        def classify_batch(*args, **kwargs):
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                alone.append(False)
+            except ChildProcessError:
+                alone.append(True)
+            return real_classify(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "classify_batch", classify_batch)
+        data = blob_data(n=100, seed=15)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        result = run_cv(data, make_folds(data, 2, 5, seed=15), cfg, workers=2)
+        assert result.fold_workers == 2
+        assert alone == [True] * 10
+
+    def test_workers_default_to_the_usable_cpus_and_only_an_autoencoder_forks(self):
+        data = blob_data(n=100, seed=16)
+        plan = make_folds(data, 1, 4, seed=16)
+        ae = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        assert run_cv(data, plan, ae).fold_workers == min(pipeline.usable_cpus(), 4)
+        assert run_cv(data, plan, ae, workers=9).fold_workers == 4
+        for cfg in (PipelineConfig(reducer="identity", k=3),
+                    PipelineConfig(reducer="pca", target_dim=2, k=3)):
+            assert run_cv(data, plan, cfg, workers=2).fold_workers == 1
+        with pytest.raises(ValueError, match="workers"):
+            run_cv(data, plan, ae, workers=0)
+
+    @staticmethod
+    def failing_fit(monkeypatch, plan, rep, fold, fail):
+        """`_fit_fold` calling `fail()` on the training side of (rep, fold);
+        a forked child inherits the patch."""
+        real_fit = pipeline._fit_fold
+        train_rows = np.flatnonzero(plan.assignments[rep] != fold)
+
+        def fit(train, cfg):
+            if np.array_equal(train.indices, train_rows):
+                fail()
+            return real_fit(train, cfg)
+
+        monkeypatch.setattr(pipeline, "_fit_fold", fit)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fit_failure_names_its_fold(self, monkeypatch, workers):
+        data = blob_data(n=100, seed=17)
+        plan = make_folds(data, 2, 4, seed=17)
+
+        def fail():
+            raise ArithmeticError("weights diverged")
+
+        self.failing_fit(monkeypatch, plan, 1, 2, fail)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        with pytest.raises(ArithmeticError, match=r"^rep 1 fold 2: weights diverged$"):
+            run_cv(data, plan, cfg, workers=workers)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "die, how",
+        [(lambda: os._exit(3), "exited with status 3"),
+         (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9")],
+        ids=["exit-3", "sigkill"],
+    )
+    def test_child_dying_without_sending_names_its_folds(self, monkeypatch, die, how):
+        data = blob_data(n=100, seed=18)
+        plan = make_folds(data, 1, 4, seed=18)
+        self.failing_fit(monkeypatch, plan, 0, 1, die)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        # split i goes to child i mod 2, so the second child holds folds 1 and 3
+        expected = f"the fold worker fitting rep 0 fold 1, rep 0 fold 3 {how} before sending its fits"
+        with pytest.raises(RuntimeError, match=f"^{expected}$"):
+            run_cv(data, plan, cfg, workers=2)
+        assert_no_child_left()
 
 
 def traced_peak(call):
