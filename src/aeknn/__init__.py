@@ -14,7 +14,7 @@ from .autoencoder import (
 )
 from .dataset import Dataset, FoldPlan, NormalizationStats, load_csv, make_folds
 from .knn import KnnModel, classify_batch, neighbors
-from .metrics import ConfusionMatrix, RocCurve, accuracy, auc, f_score, roc_auc_binary
+from .metrics import ConfusionMatrix, accuracy, auc, f_score, roc_auc_binary
 from .pipeline import CvResult, FoldResult, PipelineConfig, run_cv, run_fold
 from .reducers import Reducer, fit_lda, fit_pca, fit_reducer
 from .stats import ResultMatrix, TestReport, chi_square_sf, friedman, wilcoxon_signed_rank
@@ -36,7 +36,6 @@ __all__ = [
     "classify_batch",
     "neighbors",
     "ConfusionMatrix",
-    "RocCurve",
     "accuracy",
     "auc",
     "f_score",

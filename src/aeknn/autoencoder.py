@@ -9,9 +9,9 @@ training data, and layer widths are fractions of the ORIGINAL feature count,
 never of the intermediate widths.
 
 Gradients are exact analytic derivatives of the batch-mean reconstruction
-error. `gradients` and every batch of `train_layer` run through one
-forward/backward step, so checking `gradients` against finite differences
-checks the arithmetic that trains.
+error. `loss_and_gradients` is the one forward/backward step: every batch of
+`train_layer` runs through it, and checking its gradients against finite
+differences of its own loss checks the arithmetic that trains.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ __all__ = [
     "TrainingDivergedError",
     "layer_size",
     "init_layer",
-    "forward",
-    "reconstruction_loss",
-    "gradients",
+    "loss_and_gradients",
     "train_layer",
     "build_stack",
     "encode",
@@ -155,38 +153,18 @@ def init_layer(
     )
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"{what} has shape {x.shape}, expected (*, {dim})")
-    return x, single
+def loss_and_gradients(layer: LayerParams, batch: np.ndarray) -> tuple[float, Gradients]:
+    """One forward/backward pass over a (rows, input_dim) batch: the
+    batch-mean reconstruction error and its analytic gradients.
 
-
-def forward(layer: LayerParams, x: np.ndarray):
-    """Encode then decode. Accepts a vector or a matrix of row vectors and
-    returns (hidden, reconstruction) with matching leading shape."""
-    batch, single = _as_batch(x, layer.input_dim, "input")
-    z = layer.act_hidden.apply(batch @ layer.w_enc.T + layer.b_enc)
-    x_rec = layer.act_out.apply(z @ layer.w_dec.T + layer.b_dec)
-    if single:
-        return z[0], x_rec[0]
-    return z, x_rec
-
-
-def reconstruction_loss(layer: LayerParams, batch: np.ndarray) -> float:
-    """Mean over the batch of ||x - x_rec||^2 / input_dim."""
-    batch, _ = _as_batch(batch, layer.input_dim, "batch")
-    _, x_rec = forward(layer, batch)
-    return float(np.mean((batch - x_rec) ** 2))
-
-
-def _loss_and_gradients(layer: LayerParams, batch: np.ndarray) -> tuple[float, Gradients]:
-    """One forward/backward pass: the batch-mean reconstruction error and its
-    analytic gradients. Non-finite values pass through silently; the caller
-    decides whether a non-finite loss is an error."""
+    The per-sample loss is ||x - x_rec||^2 / d with d the input width, so
+    the output-side error signal carries a 2 / (d * n) factor. Non-finite
+    values pass through silently; the caller decides whether a non-finite
+    loss is an error. This is the step `train_layer` takes on every batch.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != layer.input_dim:
+        raise ValueError(f"batch has shape {batch.shape}, expected (*, {layer.input_dim})")
     n, d = batch.shape
     with np.errstate(over="ignore", invalid="ignore"):
         z = layer.act_hidden.apply(batch @ layer.w_enc.T + layer.b_enc)
@@ -202,17 +180,6 @@ def _loss_and_gradients(layer: LayerParams, batch: np.ndarray) -> tuple[float, G
             b_dec=g_out.sum(axis=0),
         )
     return loss, grads
-
-
-def gradients(layer: LayerParams, batch: np.ndarray) -> Gradients:
-    """Analytic gradients of the batch-mean reconstruction error.
-
-    The per-sample loss is ||x - x_rec||^2 / d with d the input width, so
-    the output-side error signal carries a 2 / (d * n) factor. This is the
-    step `train_layer` takes on every batch.
-    """
-    batch, _ = _as_batch(batch, layer.input_dim, "batch")
-    return _loss_and_gradients(layer, batch)[1]
 
 
 def train_layer(
@@ -250,7 +217,7 @@ def train_layer(
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             batch = data[order[start : start + cfg.batch_size]]
-            loss, grads = _loss_and_gradients(layer, batch)
+            loss, grads = loss_and_gradients(layer, batch)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -352,10 +319,11 @@ def build_stack(train: np.ndarray, ppl, cfg: TrainConfig) -> AutoencoderStack:
 
 
 def encode(stack: AutoencoderStack, x: np.ndarray) -> np.ndarray:
-    """Run the encoder chain. Accepts a vector or matrix; the empty stack
+    """Run the encoder chain over a (rows, input_dim) matrix; the empty stack
     returns its input unchanged."""
-    batch, single = _as_batch(x, stack.input_dim, "input")
+    batch = np.asarray(x, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != stack.input_dim:
+        raise ValueError(f"input has shape {batch.shape}, expected (*, {stack.input_dim})")
     for layer in stack.layers:
         batch = layer.apply(batch)
-    return batch[0] if single else batch
-
+    return batch

@@ -232,13 +232,20 @@ def _resolve_spec(args) -> ExperimentSpec:
     labels = [label for label, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate configuration labels: {labels}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.positive_class not in (0, 1):
+        raise ValueError(
+            f"--positive-class must be 0 or 1 (a binary problem's classes), "
+            f"got {args.positive_class}"
+        )
     return ExperimentSpec(
         datasets=tuple(datasets),
         configs=tuple(configs),
         repetitions=reps,
         folds=folds,
         seed=args.seed,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         out_dir=args.out,
         has_header=args.header,
         label_column=args.label_column,

@@ -21,7 +21,6 @@ __all__ = [
     "FoldPlan",
     "load_csv",
     "fit_normalizer",
-    "transform",
     "make_folds",
 ]
 
@@ -172,12 +171,6 @@ class NormalizationStats:
         np.divide(scaled, self.maximum - self.minimum, out=scaled)
         return np.clip(scaled, 0.0, 1.0, out=scaled)
 
-    def invert(self, matrix: np.ndarray) -> np.ndarray:
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape[-1] != self.n_features:
-            raise ValueError("feature-count mismatch")
-        return matrix * (self.maximum - self.minimum) + self.minimum
-
 
 def fit_normalizer(data, rows=None) -> NormalizationStats:
     """Fit per-feature min/max over `rows` of a Dataset (or raw matrix).
@@ -197,16 +190,6 @@ def fit_normalizer(data, rows=None) -> NormalizationStats:
     constant = hi == lo
     hi = np.where(constant, lo + 1.0, hi)
     return NormalizationStats(minimum=lo, maximum=hi)
-
-
-def transform(data: Dataset, stats: NormalizationStats) -> Dataset:
-    """Min-max scale a Dataset's features into [0, 1], clamping out-of-range values."""
-    return Dataset(
-        features=stats.apply(data.features),
-        labels=data.labels,
-        class_names=data.class_names,
-        name=data.name,
-    )
 
 
 def load_csv(path, label_column=None, has_header: bool = False, name: str | None = None) -> Dataset:
@@ -360,10 +343,6 @@ class FoldPlan:
         lines = [f"folds {self.n_folds} repetitions {self.repetitions} samples {self.n_samples}"]
         lines += [" ".join(map(str, row)) for row in self.assignments.tolist()]
         return "\n".join(lines) + "\n"
-
-    def save_text(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_text())
 
     @classmethod
     def load_text(cls, path) -> "FoldPlan":

@@ -17,7 +17,6 @@ from scipy.stats import rankdata
 
 __all__ = [
     "ConfusionMatrix",
-    "RocCurve",
     "accuracy",
     "f_score",
     "roc_auc_binary",
@@ -94,10 +93,15 @@ def _f_for_class(cm: ConfusionMatrix, c: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _check_positive(positive) -> None:
+    if positive not in (0, 1):
+        raise ValueError(f"positive must be class 0 or 1 of a binary problem, got {positive!r}")
+
+
 def f_score(cm: ConfusionMatrix, averaging: str = "macro", positive: int = 1) -> float:
     """Harmonic mean of precision and recall.
 
-    averaging="binary" scores the positive class of a two-class matrix;
+    averaging="binary" scores the positive class (0 or 1) of a two-class matrix;
     averaging="macro" is the unweighted mean of one-vs-rest scores.
     """
     if cm.total == 0:
@@ -105,52 +109,11 @@ def f_score(cm: ConfusionMatrix, averaging: str = "macro", positive: int = 1) ->
     if averaging == "binary":
         if cm.n_classes != 2:
             raise ValueError("binary averaging requires exactly two classes")
+        _check_positive(positive)
         return _f_for_class(cm, positive)
     if averaging == "macro":
         return float(np.mean([_f_for_class(cm, c) for c in range(cm.n_classes)]))
     raise ValueError(f"unknown averaging {averaging!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class RocCurve:
-    """Operating points (FPR, TPR) from thresholding a score vector, ordered
-    from (0, 0) at the strictest threshold to (1, 1)."""
-
-    fpr: np.ndarray
-    tpr: np.ndarray
-
-    def __post_init__(self):
-        fpr = np.asarray(self.fpr, dtype=np.float64)
-        tpr = np.asarray(self.tpr, dtype=np.float64)
-        if fpr.shape != tpr.shape or fpr.ndim != 1 or fpr.size < 2:
-            raise ValueError("curve needs matching 1-D fpr/tpr with >= 2 points")
-        if fpr[0] != 0.0 or tpr[0] != 0.0 or fpr[-1] != 1.0 or tpr[-1] != 1.0:
-            raise ValueError("curve must run from (0, 0) to (1, 1)")
-        if np.any(np.diff(fpr) < 0):
-            raise ValueError("fpr must be non-decreasing")
-        object.__setattr__(self, "fpr", fpr)
-        object.__setattr__(self, "tpr", tpr)
-
-    @classmethod
-    def from_scores(cls, scores, relevance) -> "RocCurve":
-        scores, relevance = _check_binary_scores(scores, relevance)
-        n_pos = int(relevance.sum())
-        n_neg = relevance.size - n_pos
-        order = np.argsort(-scores, kind="stable")
-        sorted_scores = scores[order]
-        sorted_rel = relevance[order]
-        # one operating point after each group of tied scores
-        boundaries = np.flatnonzero(np.diff(sorted_scores) != 0.0)
-        cut = np.concatenate([boundaries, [scores.size - 1]])
-        tp = np.cumsum(sorted_rel)[cut]
-        fp = (cut + 1) - tp
-        fpr = np.concatenate([[0.0], fp / n_neg])
-        tpr = np.concatenate([[0.0], tp / n_pos])
-        return cls(fpr=fpr, tpr=tpr)
-
-    def area(self) -> float:
-        """Trapezoidal integral of TPR over FPR."""
-        return float(np.trapezoid(self.tpr, self.fpr))
 
 
 def _check_binary_scores(scores, relevance):
@@ -178,9 +141,9 @@ def roc_auc_binary(scores, relevance) -> float:
 def auc(scores, labels, averaging: str = "macro_ovr", positive: int = 1) -> float:
     """AUC from per-class score columns.
 
-    averaging="binary" uses the positive-class column of a two-class problem;
-    averaging="macro_ovr" averages one-vs-rest binary AUCs over the classes
-    present in `labels`. Errors when fewer than two classes are present.
+    averaging="binary" uses the positive-class column (0 or 1) of a two-class
+    problem; averaging="macro_ovr" averages one-vs-rest binary AUCs over the
+    classes present in `labels`. Errors when fewer than two classes are present.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -192,6 +155,7 @@ def auc(scores, labels, averaging: str = "macro_ovr", positive: int = 1) -> floa
     if averaging == "binary":
         if scores.shape[1] != 2:
             raise ValueError("binary averaging requires two score columns")
+        _check_positive(positive)
         return roc_auc_binary(scores[:, positive], labels == positive)
     if averaging == "macro_ovr":
         per_class = [roc_auc_binary(scores[:, c], labels == c) for c in present]

@@ -226,7 +226,7 @@ class AeReducer:
         return self.stack.output_dim
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        return encode(self.stack, np.asarray(matrix, dtype=np.float64))
+        return encode(self.stack, matrix)
 
 
 Reducer = IdentityReducer | PcaReducer | LdaReducer | AeReducer

@@ -95,13 +95,6 @@ class ResultMatrix:
                 raise ValueError(f"{path}: non-numeric cell in row {row[0]!r}") from exc
         return cls(values=np.array(values), row_labels=tuple(row_labels), col_labels=col_labels)
 
-    def to_csv(self, path, row_label_header: str = "dataset") -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([row_label_header, *self.col_labels])
-            for label, row in zip(self.row_labels, self.values):
-                writer.writerow([label, *[repr(float(v)) for v in row]])
-
 
 @dataclass(frozen=True)
 class TestReport:

@@ -1,5 +1,5 @@
-"""Deterministic synthetic datasets for benchmarks and tests: well-separated
-Gaussian blobs and a noisy low-rank manifold embedded in a wider space."""
+"""Deterministic synthetic datasets for the tests: well-separated Gaussian
+blobs and a noisy low-rank manifold embedded in a wider space."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import csv
 
 import numpy as np
 
-from .dataset import Dataset
-
-__all__ = ["gaussian_blobs", "low_rank_manifold", "write_csv"]
+from aeknn.dataset import Dataset
 
 
 def gaussian_blobs(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,9 @@ from aeknn.autoencoder import (
     TrainingDivergedError,
     build_stack,
     encode,
-    forward,
-    gradients,
     init_layer,
     layer_size,
-    reconstruction_loss,
+    loss_and_gradients,
     train_layer,
 )
 
@@ -104,50 +104,82 @@ def manual_layer(w_enc, b_enc, w_dec, b_dec, hidden=ActivationKind.SIGMOID, out=
     )
 
 
+def encoder_stack(layer):
+    """The one-layer stack keeping `layer`'s encoder half."""
+    return AutoencoderStack(
+        layers=(EncoderLayer(w=layer.w_enc, b=layer.b_enc, activation=layer.act_hidden),),
+        input_dim=layer.input_dim,
+    )
+
+
+def loop_forward(layer, batch):
+    """Independent dense math: explicit loops over plain floats, no shared
+    helpers. Returns each row's codes and the batch-mean reconstruction
+    error ||x - x_rec||^2 / d."""
+
+    def act(kind, v):
+        if kind is ActivationKind.SIGMOID:
+            return 1.0 / (1.0 + math.exp(-v)) if v >= 0 else math.exp(v) / (1.0 + math.exp(v))
+        return v if v > 0.0 else 0.0
+
+    h, d = layer.w_enc.shape
+    codes, total = [], 0.0
+    for x in batch.tolist():
+        z = [
+            act(layer.act_hidden, sum(layer.w_enc[i, j] * x[j] for j in range(d)) + layer.b_enc[i])
+            for i in range(h)
+        ]
+        rec = [
+            act(layer.act_out, sum(layer.w_dec[i, j] * z[j] for j in range(h)) + layer.b_dec[i])
+            for i in range(d)
+        ]
+        codes.append(z)
+        total += sum((x[i] - rec[i]) ** 2 for i in range(d)) / d
+    return np.array(codes), total / len(batch)
+
+
+def layer_with_biases(rng, d, h, hidden=ActivationKind.SIGMOID, out=ActivationKind.SIGMOID):
+    """An initialized layer whose biases, zero after init, are drawn too."""
+    base = init_layer(d, h, rng, act_hidden=hidden, act_out=out)
+    return manual_layer(base.w_enc, rng.uniform(-0.5, 0.5, size=h),
+                        base.w_dec, rng.uniform(-0.5, 0.5, size=d), hidden, out)
+
+
 class TestForward:
     def test_zero_weights_sigmoid_gives_half(self):
         layer = manual_layer(np.zeros((3, 4)), np.zeros(3), np.zeros((4, 3)), np.zeros(4))
-        z, _ = forward(layer, np.array([9.0, -3.0, 0.1, 2.0]))
-        assert np.all(z == 0.5)
+        x = np.array([[9.0, -3.0, 0.1, 2.0]])
+        assert np.all(encode(encoder_stack(layer), x) == 0.5)
+        loss, _ = loss_and_gradients(layer, x)
+        assert loss == float(np.mean((x - 0.5) ** 2))
 
     def test_relu_identity_passes_positive(self):
         layer = manual_layer([[1.0]], [0.0], [[1.0]], [0.0],
                              hidden=ActivationKind.RELU, out=ActivationKind.RELU)
-        z, x_rec = forward(layer, np.array([2.0]))
-        assert z[0] == 2.0 and x_rec[0] == 2.0
+        x = np.array([[2.0]])
+        assert encode(encoder_stack(layer), x)[0, 0] == 2.0
+        assert loss_and_gradients(layer, x)[0] == 0.0
 
     def test_matches_hand_rolled_matrix_vector_oracle(self):
         rng = np.random.default_rng(7)
-        layer = init_layer(2, 3, rng)
-        x = rng.normal(size=2)
-
-        def sig(v):
-            return 1.0 / (1.0 + np.exp(-v))
-
-        # independent dense math: explicit loops, no shared helpers
-        pre_hidden = [
-            sum(layer.w_enc[i, j] * x[j] for j in range(2)) + layer.b_enc[i]
-            for i in range(3)
-        ]
-        z_ref = [sig(v) for v in pre_hidden]
-        pre_out = [
-            sum(layer.w_dec[i, j] * z_ref[j] for j in range(3)) + layer.b_dec[i]
-            for i in range(2)
-        ]
-        rec_ref = [sig(v) for v in pre_out]
-
-        z, x_rec = forward(layer, x)
-        np.testing.assert_allclose(z, z_ref, atol=1e-12)
-        np.testing.assert_allclose(x_rec, rec_ref, atol=1e-12)
+        for hidden in ActivationKind:
+            for out in ActivationKind:
+                layer = layer_with_biases(rng, 4, 3, hidden, out)
+                batch = rng.normal(size=(5, 4))
+                _, loss_ref = loop_forward(layer, batch)
+                loss, _ = loss_and_gradients(layer, batch)
+                assert abs(loss - loss_ref) <= 1e-12, (hidden, out)
 
     def test_dimension_mismatch(self):
+        # a batch is always a (rows, input_dim) matrix, one row included
         layer = manual_layer(np.zeros((2, 3)), np.zeros(2), np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(ValueError):
-            forward(layer, np.zeros(4))
+        for shape in [(3,), (2, 4), (2, 2), (1, 2, 3)]:
+            with pytest.raises(ValueError, match="expected"):
+                loss_and_gradients(layer, np.zeros(shape))
 
 
 def finite_difference_grads(layer, batch, step=1e-5):
-    """Central differences on the batch-mean reconstruction loss."""
+    """Central differences on the training step's own batch-mean loss."""
     arrays = {
         "w_enc": layer.w_enc.copy(),
         "b_enc": layer.b_enc.copy(),
@@ -166,7 +198,7 @@ def finite_difference_grads(layer, batch, step=1e-5):
             act_hidden=layer.act_hidden,
             act_out=layer.act_out,
         )
-        return reconstruction_loss(probe, batch)
+        return loss_and_gradients(probe, batch)[0]
 
     grads = {}
     for name, arr in arrays.items():
@@ -192,7 +224,8 @@ class TestGradients:
             hidden=ActivationKind.RELU, out=ActivationKind.RELU,
         )
         batch = np.array([[0.2, 0.5, 1.0], [2.0, 0.1, 0.7]])
-        grads = gradients(layer, batch)
+        loss, grads = loss_and_gradients(layer, batch)
+        assert loss == 0.0
         for g in (grads.w_enc, grads.b_enc, grads.w_dec, grads.b_dec):
             assert np.all(g == 0.0)
 
@@ -204,7 +237,7 @@ class TestGradients:
             h = int(rng.integers(2, 6))
             layer = init_layer(d, h, rng, act_hidden=act, act_out=ActivationKind.SIGMOID)
             batch = rng.uniform(0.05, 0.95, size=(5, d))
-            analytic = gradients(layer, batch)
+            _, analytic = loss_and_gradients(layer, batch)
             numeric = finite_difference_grads(layer, batch)
             for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
                 assert max_rel_error(getattr(analytic, name), numeric[name]) < 1e-4
@@ -231,7 +264,8 @@ class TestGradients:
         dl_dw = dl_da * x
         dl_db = dl_da
 
-        grads = gradients(layer, np.array([[x]]))
+        loss, grads = loss_and_gradients(layer, np.array([[x]]))
+        np.testing.assert_allclose(loss, (xr - x) ** 2, rtol=1e-12)
         np.testing.assert_allclose(grads.w_dec[0, 0], dl_dwd, rtol=1e-12)
         np.testing.assert_allclose(grads.b_dec[0], dl_dbd, rtol=1e-12)
         np.testing.assert_allclose(grads.w_enc[0, 0], dl_dw, rtol=1e-12)
@@ -253,8 +287,7 @@ class TestTrainLayer:
         data = np.tile(point, (40, 1))
         cfg = TrainConfig(epochs=50, batch_size=8, learning_rate=1.0, seed=2)
         params, _ = train_layer(data, 2, cfg)
-        _, rec = forward(params, point)
-        assert float(np.mean((rec - point) ** 2)) < 1e-3
+        assert loss_and_gradients(params, point[None, :])[0] < 1e-3
 
     def test_zero_learning_rate_keeps_initialization(self):
         rng = np.random.default_rng(4)
@@ -295,8 +328,8 @@ class TestTrainLayer:
 
     @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.RELU])
     def test_one_full_batch_epoch_is_one_checked_gradient_step(self, hidden):
-        # training takes exactly the step `gradients` computes, which the
-        # finite-difference checks cover
+        # training takes exactly the step `loss_and_gradients` computes,
+        # which the finite-difference checks cover
         data = np.random.default_rng(21).uniform(size=(12, 5))
         cfg = TrainConfig(
             epochs=1,
@@ -309,7 +342,7 @@ class TestTrainLayer:
         )
         params, _ = train_layer(data, 3, cfg)
         init = init_layer(5, 3, np.random.default_rng(3), hidden, ActivationKind.SIGMOID)
-        grads = gradients(init, data)
+        _, grads = loss_and_gradients(init, data)
         for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
             want = getattr(init, name) - cfg.learning_rate * getattr(grads, name)
             assert same_bits(getattr(params, name), want), name
@@ -360,27 +393,29 @@ class TestEncode:
         assert np.array_equal(encode(stack, x), x)
 
     def test_single_layer_matches_forward(self):
+        # the codes of the explicit-loop forward pass, on both activations
         rng = np.random.default_rng(1)
-        params = init_layer(4, 2, rng)
-        stack = AutoencoderStack(
-            layers=(EncoderLayer(w=params.w_enc, b=params.b_enc, activation=params.act_hidden),),
-            input_dim=4,
-        )
-        x = rng.uniform(size=4)
-        z, _ = forward(params, x)
-        assert np.array_equal(encode(stack, x), z)
+        for hidden in ActivationKind:
+            params = layer_with_biases(rng, 4, 2, hidden)
+            x = rng.normal(size=(6, 4))
+            codes_ref, _ = loop_forward(params, x)
+            np.testing.assert_allclose(
+                encode(encoder_stack(params), x), codes_ref, rtol=0, atol=1e-12
+            )
 
     def test_matrix_equals_row_by_row(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(size=(12, 6))
         stack = build_stack(data, (0.5,), TrainConfig(epochs=1, seed=0))
         batch = encode(stack, data)
-        rows = np.vstack([encode(stack, row) for row in data])
+        rows = np.vstack([encode(stack, row[None, :]) for row in data])
         # BLAS blocking makes matrix and vector products differ in final ulps
         np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self):
+        # the empty stack checks its input too; one row is a (1, d) matrix
         stack = AutoencoderStack(layers=(), input_dim=3)
-        with pytest.raises(ValueError):
-            encode(stack, np.zeros(4))
+        for shape in [(2, 4), (3,), (1, 2, 3)]:
+            with pytest.raises(ValueError, match="expected"):
+                encode(stack, np.zeros(shape))
 

@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from aeknn import cli, dataset, pipeline, synth
+from aeknn import cli, dataset, pipeline
 from aeknn.cli import main, parse_ppl
 from aeknn.tables import reference_path
+
+import synth
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench"
 THREE_BASELINES = (
@@ -221,6 +223,21 @@ class TestEval:
                      "--reps", "1", "--folds", "4", "--out", str(out)])
         assert code == 2
         assert "ae takes no target_dim, got 10" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"), ("--jobs", "-3"),
+        ("--positive-class", "-1"), ("--positive-class", "2"), ("--positive-class", "5"),
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, blob_csvs, tmp_path, capsys, flag, value):
+        # `--jobs 0` once ran one job; `--positive-class -1` scored class 1
+        # or failed, and 5 failed every two-class cell with an IndexError
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", blob_csvs[0], "--reducer", "identity", flag, value,
+                     "--seed", "1", "--reps", "1", "--folds", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and f"got {value}" in err
         assert not out.exists()
 
     def test_bad_default_value_fails_even_when_a_flag_wins(self, blob_csvs, tmp_path):

@@ -12,7 +12,6 @@ from aeknn.dataset import (
     fit_normalizer,
     load_csv,
     make_folds,
-    transform,
 )
 
 
@@ -250,16 +249,14 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="empty"):
             fit_normalizer(np.zeros((3, 2)), rows=[])
 
-    def test_transform_returns_unit_range_dataset(self):
+    def test_apply_maps_a_dataset_into_unit_range(self):
         data = Dataset(
             features=np.array([[0.0, 10.0], [4.0, 30.0]]),
             labels=np.array([0, 1]),
             class_names=("a", "b"),
         )
-        stats = fit_normalizer(data)
-        out = transform(data, stats)
-        assert out.features.min() >= 0.0 and out.features.max() <= 1.0
-        assert out.labels.tolist() == data.labels.tolist()
+        out = fit_normalizer(data).apply(data.features)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -273,7 +270,8 @@ class TestNormalizer:
     def test_round_trip_within_fitted_range(self, column):
         values = np.array(column)[:, None]
         stats = fit_normalizer(values)
-        recovered = stats.invert(stats.apply(values))
+        # the inverse map, written here: nothing in the package needs it
+        recovered = stats.apply(values) * (stats.maximum - stats.minimum) + stats.minimum
         # relative to the feature's own scale: a value tiny against the fitted
         # range cannot survive the subtraction in any floating-point scheme
         scale = np.maximum(np.abs(values), stats.maximum - stats.minimum)
@@ -353,7 +351,7 @@ class TestFoldPlan:
         data = two_class_dataset(10)
         plan = make_folds(data, 2, 5, seed=11)
         path = tmp_path / "plan.txt"
-        plan.save_text(path)
+        path.write_text(plan.to_text(), encoding="utf-8")
         loaded = FoldPlan.load_text(path)
         assert np.array_equal(loaded.assignments, plan.assignments)
         assert loaded.n_folds == plan.n_folds

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from aeknn.metrics import (
     ConfusionMatrix,
-    RocCurve,
     accuracy,
     auc,
     f_score,
     roc_auc_binary,
 )
+
+from roc_curve import RocCurve
 
 
 def binary_cm(tp, fn, fp, tn):
@@ -74,6 +75,12 @@ class TestFScore:
         cm = binary_cm(tp=2, fp=1, fn=4, tn=3)
         # scoring class 0 swaps the roles of the counts
         assert f_score(cm, "binary", positive=0) != f_score(cm, "binary", positive=1)
+
+    @pytest.mark.parametrize("positive", [-1, 2, 5])
+    def test_binary_positive_outside_the_two_classes_rejected(self, positive):
+        cm = binary_cm(tp=2, fp=1, fn=4, tn=3)
+        with pytest.raises(ValueError, match=rf"positive .*got {positive}"):
+            f_score(cm, "binary", positive=positive)
 
     def test_micro_f_equals_accuracy_on_multiclass(self):
         # internal consistency of the one-vs-rest counts; micro-F computed
@@ -216,3 +223,11 @@ class TestMulticlassAuc:
         pos_scores = np.array([0.1, 0.9, 0.3, 0.8, 0.7])
         scores = np.column_stack([1 - pos_scores, pos_scores])
         assert auc(scores, labels, averaging="binary") == 1.0
+
+    @pytest.mark.parametrize("positive", [-1, 2, 5])
+    def test_binary_positive_outside_the_two_classes_rejected(self, positive):
+        labels = np.array([0, 1, 0, 1, 1])
+        pos_scores = np.array([0.1, 0.9, 0.3, 0.8, 0.7])
+        scores = np.column_stack([1 - pos_scores, pos_scores])
+        with pytest.raises(ValueError, match=rf"positive .*got {positive}"):
+            auc(scores, labels, averaging="binary", positive=positive)

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeknn import synth
 from aeknn.autoencoder import TrainConfig
 from aeknn.dataset import Dataset, NormalizationStats, fit_normalizer, make_folds
 from aeknn.knn import KnnModel, classify_batch
 from aeknn.metrics import ConfusionMatrix, accuracy
 from aeknn import pipeline
 from aeknn.pipeline import PipelineConfig, fit_fold_model, run_cv, run_fold
+
+import synth
 
 
 def blob_data(n=120, classes=3, features=6, seed=0):

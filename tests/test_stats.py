@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy import stats as sps
 from scipy.stats import rankdata
 
+from aeknn.cli import _matrix_csv
 from aeknn.stats import (
     ResultMatrix,
     chi_square_sf,
@@ -27,9 +28,17 @@ def matrix(values, prefix="col"):
 
 class TestResultMatrix:
     def test_csv_round_trip(self, tmp_path):
+        # written by the one writer of the matrix format, `aeknn eval`'s
         m = matrix(np.random.default_rng(0).uniform(size=(4, 3)))
+        cells = {
+            (row, col): {"status": "ok", "metrics": {"accuracy": m.values[i, j]}}
+            for i, row in enumerate(m.row_labels)
+            for j, col in enumerate(m.col_labels)
+        }
         path = tmp_path / "m.csv"
-        m.to_csv(path)
+        path.write_text(
+            _matrix_csv(m.row_labels, m.col_labels, cells, "accuracy"), encoding="utf-8"
+        )
         loaded = ResultMatrix.from_csv(path)
         assert loaded.row_labels == m.row_labels
         assert loaded.col_labels == m.col_labels
