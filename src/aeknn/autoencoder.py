@@ -129,8 +129,8 @@ def layer_size(n_features: int, fraction: float) -> int:
     never below one."""
     if n_features < 1:
         raise ValueError("n_features must be >= 1")
-    if not fraction > 0:
-        raise ValueError("fraction must be positive")
+    if not (math.isfinite(fraction) and fraction > 0):
+        raise ValueError(f"fraction must be positive and finite, got {fraction}")
     return max(1, int(math.floor(fraction * n_features + 0.5)))
 
 

@@ -44,8 +44,8 @@ def parse_ppl(text: str) -> tuple[float, ...]:
     if not parts:
         raise ValueError(f"empty ppl spec {text!r}")
     fractions = tuple(float(p) for p in parts)
-    if any(f <= 0 for f in fractions):
-        raise ValueError(f"ppl fractions must be positive: {text!r}")
+    if not all(math.isfinite(f) and f > 0 for f in fractions):
+        raise ValueError(f"ppl fractions must be positive and finite: {text!r}")
     return fractions
 
 
@@ -232,6 +232,10 @@ def _resolve_spec(args) -> ExperimentSpec:
     labels = [label for label, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate configuration labels: {labels}")
+    if reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {reps}")
+    if folds < 2:
+        raise ValueError(f"--folds must be >= 2, got {folds}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.positive_class not in (0, 1):

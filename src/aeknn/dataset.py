@@ -86,13 +86,6 @@ class Dataset:
             name=self.name,
         )
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.features.tobytes())
-        h.update(self.labels.tobytes())
-        h.update("\x1f".join(self.class_names).encode("utf-8"))
-        return h.hexdigest()
-
 
 @dataclass(frozen=True, eq=False)
 class SubsetView:
@@ -172,19 +165,12 @@ class NormalizationStats:
         return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
-def fit_normalizer(data, rows=None) -> NormalizationStats:
-    """Fit per-feature min/max over `rows` of a Dataset (or raw matrix).
-
-    `rows=None` uses every row. Raises on an empty selection.
-    """
-    matrix = data.features if hasattr(data, "features") else np.asarray(data, float)
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            raise ValueError("cannot fit a normalizer on an empty row subset")
-        matrix = matrix[rows]
+def fit_normalizer(matrix: np.ndarray) -> NormalizationStats:
+    """Fit per-feature min/max over the rows of `matrix`; raises on an
+    empty one."""
+    matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape[0] == 0:
-        raise ValueError("cannot fit a normalizer on an empty row subset")
+        raise ValueError("cannot fit a normalizer on an empty matrix")
     lo = matrix.min(axis=0)
     hi = matrix.max(axis=0)
     constant = hi == lo

@@ -14,14 +14,16 @@ candidate proposals, the one exact pass over them or, where the tree cannot
 vouch for a row, over every reference, and the vote). "Classification time"
 in aggregated results means encode + classify.
 
-`run_cv` trains an autoencoder configuration's folds side by side: forked
-children fit the folds' normalizers and reducers, one child per usable CPU
-(at most one per fold), and send them back through pipes; then the parent
-encodes and classifies each fold alone, with no child alive, so the time
-column is measured as when folds run one after another. A pre-fitted fold's
-fit time is the child's fit plus the parent's normalize and encode of the
-training rows. Every other configuration, and any run allowed one worker,
-runs its folds one after another in process.
+`run_cv` trains an autoencoder configuration's folds side by side: children
+started by `multiprocessing`'s fork context fit the folds' normalizers and
+reducers, one child per usable CPU (at most one per fold), and send them
+back through pipes; then the parent encodes and classifies each fold alone,
+with no child alive, so the time column is measured as when folds run one
+after another. A pre-fitted fold's fit time is the child's fit plus the
+parent's normalize and encode of the training rows. Every other
+configuration, any run allowed one worker, and any run inside a daemonic
+process (a `multiprocessing.Pool` worker, which `multiprocessing` lets
+start no children) runs its folds one after another in process.
 
 Each fold runs whole (fit and training, both encodes, kNN) with every loaded
 OpenBLAS held to one thread, whether it runs in the main process, in an
@@ -37,15 +39,16 @@ OpenBLAS each ran the paper's ppl sweep four times slower.
 from __future__ import annotations
 
 import ctypes
+import math
+import multiprocessing
 import os
-import pickle
-import signal
 import threading
 import time
 import traceback
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
@@ -134,8 +137,8 @@ class PipelineConfig:
         ppl = tuple(float(f) for f in self.ppl)
         if self.reducer == "ae" and not ppl:
             raise ValueError("autoencoder configuration needs a non-empty ppl")
-        if any(f <= 0 for f in ppl):
-            raise ValueError("ppl fractions must be positive")
+        if not all(math.isfinite(f) and f > 0 for f in ppl):
+            raise ValueError(f"ppl fractions must be positive and finite, got {ppl}")
         if self.reducer in ("ae", "identity") and self.target_dim is not None:
             raise ValueError(f"{self.reducer} takes no target_dim, got {self.target_dim}")
         if self.reducer in ("pca", "lda") and self.target_dim is None and len(ppl) != 1:
@@ -172,14 +175,6 @@ class FoldResult:
             raise ValueError("one prediction per test row required")
         if min(self.fit_seconds, self.encode_seconds, self.classify_seconds) < 0:
             raise ValueError("durations must be non-negative")
-
-    @property
-    def n_test(self) -> int:
-        return self.predictions.shape[0]
-
-    @property
-    def error_rate(self) -> float:
-        return float(np.count_nonzero(self.predictions != self.true_labels)) / self.n_test
 
     @property
     def classification_seconds(self) -> float:
@@ -290,10 +285,6 @@ class CvResult:
     classification_seconds: float
     fold_workers: int  # processes that fitted the folds; 1 when fitted in process
 
-    @property
-    def error_rate(self) -> float:
-        return 1.0 - self.accuracy
-
 
 def _fold_metrics(result: FoldResult, positive: int) -> tuple[float, float, float]:
     cm = ConfusionMatrix.from_predictions(
@@ -318,10 +309,12 @@ def usable_cpus() -> int:
 
 def _fold_workers(cfg: PipelineConfig, n_splits: int, workers: int | None) -> int:
     """Processes to fit the folds in: forked children only where an
-    autoencoder is trained, since a fork costs more than any other fit."""
+    autoencoder is trained, since a fork costs more than any other fit, and
+    only where this process may have children: `multiprocessing` refuses
+    them to a daemonic process."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if cfg.reducer != "ae" or not hasattr(os, "fork"):
+    if cfg.reducer != "ae" or not hasattr(os, "fork") or multiprocessing.current_process().daemon:
         return 1
     return max(1, min(usable_cpus() if workers is None else workers, n_splits))
 
@@ -335,49 +328,44 @@ def _naming_fold(exc: Exception, rep: int, fold: int) -> Exception:
         return RuntimeError(f"rep {rep} fold {fold}: {type(exc).__name__}: {exc}")
 
 
-def _fit_in_child(write_fd: int, splits) -> None:
-    """Fit each split's (stats, reducer) and pickle them, with each fit's
-    seconds, into `write_fd`; a failing fit ends the list and is sent as
-    (rep, fold, exception). Never returns: the child leaves through
-    `os._exit`, so no code of its parent runs on in it.
+def _fit_in_child(pipe, splits) -> None:
+    """Fit each split's (stats, reducer) and send them, with each fit's
+    seconds, through `pipe`; a failing fit ends the list and is sent as
+    (rep, fold, exception). The target of a forked `Process`, which leaves
+    through `os._exit`, so no code of its parent runs on in it.
 
     The child runs on the one BLAS thread it was forked with and sets no
     count itself: OpenBLAS shuts its thread pool down at a fork and starts
     it again at the next count set, and the new workers spin for about
     0.1 s, here against the training."""
-    status = 1
-    try:
-        fits, failure = [], None
-        for rep, fold, train, _, cfg in splits:
-            t0 = time.perf_counter()
-            try:
-                stats, reducer, _ = _fit_fold(train, cfg)
-            except Exception as exc:
-                if hasattr(exc, "add_note"):
-                    exc.add_note("in the fold worker:\n" + traceback.format_exc())
-                failure = (rep, fold, exc)
-                break
-            fits.append((stats, reducer, time.perf_counter() - t0))
-        if failure is not None:
-            try:
-                pickle.loads(pickle.dumps(failure))
-            except Exception:  # an exception that cannot cross the pipe as it is
-                rep, fold, exc = failure
-                failure = (rep, fold, RuntimeError(f"{type(exc).__name__}: {exc}"))
-        payload = pickle.dumps((fits, failure))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+    fits, failure = [], None
+    for rep, fold, train, _, cfg in splits:
+        t0 = time.perf_counter()
+        try:
+            stats, reducer, _ = _fit_fold(train, cfg)
+        except Exception as exc:
+            if hasattr(exc, "add_note"):
+                exc.add_note("in the fold worker:\n" + traceback.format_exc())
+            failure = (rep, fold, exc)
+            break
+        fits.append((stats, reducer, time.perf_counter() - t0))
+    if failure is not None:
+        try:  # through the pickler `send` uses, and back as `recv` would
+            ForkingPickler.loads(ForkingPickler.dumps(failure))
+        except Exception:  # an exception that cannot cross the pipe as it is
+            rep, fold, exc = failure
+            failure = (rep, fold, RuntimeError(f"{type(exc).__name__}: {exc}"))
+    pipe.send((fits, failure))
 
 
 def _fit_in_children(splits, workers: int) -> list:
     """Each split's (stats, reducer, fit seconds), in plan order, fitted in
     `workers` forked children; split i goes to child i mod workers. Every
-    child is killed and reaped before this returns or raises."""
-    children = []  # (pid, read end, split positions)
-    statuses = {}
+    child is killed and joined before this returns or raises. The caller
+    must not be a daemonic process, which `multiprocessing` lets have no
+    children (`_fold_workers` gives it 1)."""
+    fork = multiprocessing.get_context("fork")
+    children = []  # (process, read end, split positions)
     try:
         # the children inherit the hold; leaving it restarts this process's
         # OpenBLAS pools now, so their workers spin while the children fit,
@@ -385,35 +373,35 @@ def _fit_in_children(splits, workers: int) -> list:
         with _one_blas_thread():
             for worker in range(workers):
                 positions = range(worker, len(splits), workers)
-                read_fd, write_fd = os.pipe()
+                reader, writer = fork.Pipe(duplex=False)
+                child = fork.Process(
+                    target=_fit_in_child, args=(writer, [splits[p] for p in positions])
+                )
                 try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read_fd)
-                    os.close(write_fd)
+                    child.start()
+                except BaseException:
+                    reader.close()
                     raise
-                if pid == 0:
-                    _fit_in_child(write_fd, [splits[p] for p in positions])
-                os.close(write_fd)
-                children.append((pid, os.fdopen(read_fd, "rb"), positions))
+                finally:
+                    writer.close()
+                children.append((child, reader, positions))
         sent = []  # each child's (fits, failure), or None if it died first
-        for _, pipe, _ in children:
+        for _, reader, _ in children:
             try:
-                sent.append(pickle.load(pipe))
-            except Exception:  # nothing, or only a part, came through
+                sent.append(reader.recv())
+            except (EOFError, OSError):  # nothing, or only a part, came through
                 sent.append(None)
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            statuses[pid] = os.waitpid(pid, 0)[1]
+        for child, reader, _ in children:
+            reader.close()
+            child.kill()
+            child.join()
 
     fitted = [None] * len(splits)
-    for (pid, _, positions), outcome in zip(children, sent):
+    for (child, _, positions), outcome in zip(children, sent):
         if outcome is None:
             names = ", ".join(f"rep {splits[p][0]} fold {splits[p][1]}" for p in positions)
-            code = os.waitstatus_to_exitcode(statuses[pid])
+            code = child.exitcode
             how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
             raise RuntimeError(f"the fold worker fitting {names} {how} before sending its fits")
         fits, failure = outcome
@@ -442,7 +430,8 @@ def run_cv(
     `workers` of them (default: the CPUs this process may use), then
     encodes and classifies each fold alone in this process; the bytes are
     those of fitting every fold here, which is what any other configuration,
-    `workers=1` or a platform without `os.fork` does. An exception from a
+    `workers=1`, a daemonic caller (a `multiprocessing` daemon may have no
+    children) or a platform without `os.fork` does. An exception from a
     fold is raised again with its type, its message prefixed
     `rep R fold F:`; a child that dies without sending its fits raises a
     `RuntimeError` naming its folds and its exit status.

@@ -86,9 +86,11 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 
 
 def _features(matrix, width: int) -> np.ndarray:
+    """`matrix` as float64 rows of `width` features: every reducer's
+    `transform` takes a (rows, width) matrix only, as `encode` does."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape[-1] != width:
-        raise ValueError("feature-count mismatch")
+    if matrix.ndim != 2 or matrix.shape[1] != width:
+        raise ValueError(f"input has shape {matrix.shape}, expected (*, {width})")
     return matrix
 
 

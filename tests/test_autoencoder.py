@@ -33,6 +33,11 @@ class TestLayerSize:
         with pytest.raises(ValueError):
             layer_size(10, 0.0)
 
+    @pytest.mark.parametrize("fraction", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError, match="positive and finite"):
+            layer_size(10, fraction)
+
 
 class TestActivations:
     def test_sigmoid_at_zero(self):

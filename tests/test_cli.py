@@ -52,6 +52,11 @@ class TestParsePpl:
         with pytest.raises(ValueError):
             parse_ppl("0,-1")
 
+    @pytest.mark.parametrize("text", ["inf", "0.5,nan", "(1.5,-inf)"])
+    def test_rejects_non_finite_fractions(self, text):
+        with pytest.raises(ValueError, match="positive and finite"):
+            parse_ppl(text)
+
 
 class TestEval:
     def test_single_dataset_two_configs_emits_four_matrices(self, blob_csvs, tmp_path):
@@ -228,16 +233,35 @@ class TestEval:
     @pytest.mark.parametrize("flag, value", [
         ("--jobs", "0"), ("--jobs", "-3"),
         ("--positive-class", "-1"), ("--positive-class", "2"), ("--positive-class", "5"),
+        ("--reps", "0"), ("--reps", "-1"), ("--folds", "1"), ("--folds", "0"),
     ])
     def test_out_of_range_flag_is_a_usage_error(self, blob_csvs, tmp_path, capsys, flag, value):
         # `--jobs 0` once ran one job; `--positive-class -1` scored class 1
-        # or failed, and 5 failed every two-class cell with an IndexError
+        # or failed, and 5 failed every two-class cell with an IndexError.
+        # The flag under test comes last, since argparse keeps the last value.
         out = tmp_path / "x"
-        code = main(["eval", "--dataset", blob_csvs[0], "--reducer", "identity", flag, value,
-                     "--seed", "1", "--reps", "1", "--folds", "4", "--out", str(out)])
+        code = main(["eval", "--dataset", blob_csvs[0], "--reducer", "identity",
+                     "--seed", "1", "--reps", "1", "--folds", "4", "--out", str(out),
+                     flag, value])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be") and f"got {value}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_non_finite_ppl_is_a_usage_error(self, blob_csvs, tmp_path, capsys, value, where):
+        out = tmp_path / "x"
+        argv = ["eval", "--dataset", blob_csvs[0], "--seed", "1", "--reps", "1",
+                "--folds", "4", "--epochs", "1", "--out", str(out)]
+        if where == "flag":
+            argv += ["--ppl", value]
+        else:
+            ini = tmp_path / "ppl.ini"
+            ini.write_text(f"[config:ae]\nreducer = ae\nppl = {value}\n", encoding="utf-8")
+            argv += ["--config", str(ini)]
+        assert main(argv) == 2
+        assert "ppl fractions must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_default_value_fails_even_when_a_flag_wins(self, blob_csvs, tmp_path):

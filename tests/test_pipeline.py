@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import signal
 import sys
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from aeknn.autoencoder import TrainConfig
 from aeknn.dataset import Dataset, NormalizationStats, fit_normalizer, make_folds
 from aeknn.knn import KnnModel, classify_batch
-from aeknn.metrics import ConfusionMatrix, accuracy
 from aeknn import pipeline
 from aeknn.pipeline import PipelineConfig, fit_fold_model, run_cv, run_fold
 
@@ -42,7 +42,7 @@ class TestRunFold:
         test = data.subset(np.arange(0, 40))
         cfg = PipelineConfig(reducer="identity", k=1)
         result = run_fold(train, test, cfg)
-        assert result.error_rate == 0.0
+        assert np.array_equal(result.predictions, result.true_labels)
 
     def test_ppl_075_on_19_features_encodes_width_14(self):
         rng = np.random.default_rng(1)
@@ -96,15 +96,6 @@ class TestRunFold:
         run_fold(data.subset(np.arange(80)), data.subset(np.arange(80, 120)), cfg)
         assert applied == [80, 40]
 
-    def test_error_rate_equals_one_minus_accuracy(self):
-        data = blob_data(seed=4)
-        cfg = PipelineConfig(reducer="pca", target_dim=3, k=3)
-        result = run_fold(data.subset(np.arange(90)), data.subset(np.arange(90, 120)), cfg)
-        cm = ConfusionMatrix.from_predictions(
-            result.true_labels, result.predictions, n_classes=result.n_classes
-        )
-        assert abs(result.error_rate - (1.0 - accuracy(cm))) < 1e-12
-
     def test_identity_pipeline_equals_direct_knn(self):
         data = blob_data(seed=5)
         train = data.subset(np.arange(90))
@@ -129,7 +120,8 @@ class TestRunFold:
         test_rows = np.flatnonzero(data.labels == 2)[:10]
         cfg = PipelineConfig(reducer="identity", k=3)
         result = run_fold(data.subset(train_rows), data.subset(test_rows), cfg)
-        assert result.error_rate == 1.0
+        assert result.true_labels.tolist() == [2] * 10
+        assert not np.any(result.predictions == 2)
 
     def test_feature_mismatch_rejected(self):
         a = blob_data(seed=7, features=4)
@@ -414,6 +406,97 @@ class TestForkedFits:
             run_cv(data, plan, cfg, workers=2)
         assert_no_child_left()
 
+    def test_children_fit_on_one_blas_thread_and_the_parent_gets_its_count_back(
+        self, monkeypatch, tmp_path
+    ):
+        # the children are forked inside the parent's hold and set no count
+        # themselves, so each fits on the one thread it was forked with
+        counts = pipeline._openblas_thread_counts()
+        if not counts:
+            pytest.skip("no OpenBLAS with a thread-count API is loaded")
+        log = tmp_path / "fits.log"
+        real_fit = pipeline._fit_fold
+
+        def fit(train, cfg):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {[get() for get, _ in counts]}\n")
+            return real_fit(train, cfg)
+
+        monkeypatch.setattr(pipeline, "_fit_fold", fit)
+        data = blob_data(n=100, seed=19)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        saved = [get() for get, _ in counts]
+        try:
+            for _, set_ in counts:
+                set_(2)
+            result = run_cv(data, make_folds(data, 1, 4, seed=19), cfg, workers=2)
+            after = [get() for get, _ in counts]
+        finally:
+            for (_, set_), threads in zip(counts, saved):
+                set_(threads)
+        fits = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+        pids = {pid for pid, _ in fits}
+        assert result.fold_workers == 2 and len(fits) == 4
+        assert len(pids) == 2 and str(os.getpid()) not in pids
+        assert {seen for _, seen in fits} == {str([1] * len(counts))}
+        assert after == [2] * len(counts)
+        assert_no_child_left()
+
+    def test_unpicklable_fit_failure_is_sent_as_a_runtime_error(self, monkeypatch):
+        data = blob_data(n=100, seed=20)
+        plan = make_folds(data, 2, 4, seed=20)
+
+        def fail():
+            exc = ArithmeticError("weights diverged")
+            exc.lock = threading.Lock()  # cannot cross a pipe
+            raise exc
+
+        self.failing_fit(monkeypatch, plan, 1, 2, fail)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        with pytest.raises(RuntimeError) as caught:
+            run_cv(data, plan, cfg, workers=2)
+        assert str(caught.value) == "rep 1 fold 2: ArithmeticError: weights diverged"
+        assert_no_child_left()
+
+    def test_a_daemonic_caller_fits_its_folds_in_process(self):
+        # multiprocessing lets a daemonic process start no children, so
+        # run_cv there fits in process whatever `workers` asks for
+        data = blob_data(n=100, seed=21)
+        plan = make_folds(data, 2, 4, seed=21)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+
+        def summary(result):
+            return (
+                result.fold_workers,
+                (result.accuracy, result.fscore, result.auc_score),
+                [(r.predictions.tobytes(), r.scores.tobytes(), r.test_indices.tobytes())
+                 for r in result.fold_results],
+            )
+
+        fork = multiprocessing.get_context("fork")
+        reader, writer = fork.Pipe(duplex=False)
+
+        def in_daemon():
+            try:
+                writer.send(summary(run_cv(data, plan, cfg, workers=2)))
+            except Exception as exc:
+                writer.send(repr(exc))
+
+        daemon = fork.Process(target=in_daemon, daemon=True)
+        daemon.start()
+        writer.close()
+        try:
+            assert reader.poll(60)
+            got = reader.recv()
+        finally:
+            reader.close()
+            daemon.join(timeout=60)
+        assert daemon.exitcode == 0
+        want = summary(run_cv(data, plan, cfg, workers=1))
+        assert want[0] == 1
+        assert got == want
+        assert_no_child_left()
+
 
 def traced_peak(call):
     tracemalloc.start()
@@ -468,6 +551,12 @@ class TestConfigValidation:
     def test_bad_ppl(self):
         with pytest.raises(ValueError):
             PipelineConfig(reducer="ae", ppl=(0.5, -1.0))
+
+    @pytest.mark.parametrize("reducer", ["ae", "pca"])
+    @pytest.mark.parametrize("fraction", [float("inf"), float("nan")])
+    def test_non_finite_ppl_rejected(self, reducer, fraction):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PipelineConfig(reducer=reducer, ppl=(fraction,))
 
     @pytest.mark.parametrize("reducer", ["pca", "lda"])
     @pytest.mark.parametrize("ppl", [(0.5, 0.25), ()])

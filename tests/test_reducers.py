@@ -309,6 +309,21 @@ class TestFitReducer:
             out = reducer.transform(train)
             assert out.shape == (25, reducer.effective_dim)
 
+    def test_every_kind_takes_only_a_matrix_of_its_width(self):
+        train = np.random.default_rng(11).uniform(size=(24, 4))
+        labels = np.repeat([0, 1, 2], 8)
+        for reducer in [
+            fit_reducer("identity", train),
+            fit_reducer("pca", train, target_dim=2),
+            fit_reducer("lda", train, labels=labels, target_dim=2),
+            fit_reducer("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=0)),
+        ]:
+            with pytest.raises(ValueError, match=r"^input has shape \(4,\), expected \(\*, 4\)$"):
+                reducer.transform(train[0])
+            with pytest.raises(ValueError, match=r"^input has shape \(24, 3\), expected \(\*, 4\)$"):
+                reducer.transform(train[:, :3])
+            assert reducer.transform(train[:1]).shape == (1, reducer.effective_dim)
+
 
 def one_of_each_kind(train):
     """Identity, PCA, LDA and AE reducers fitted on a 24 x 6 matrix."""
