@@ -9,9 +9,19 @@ training data, and layer widths are fractions of the ORIGINAL feature count,
 never of the intermediate widths.
 
 Gradients are exact analytic derivatives of the batch-mean reconstruction
-error. `loss_and_gradients` is the one forward/backward step: every batch of
-`train_layer` runs through it, and checking its gradients against finite
-differences of its own loss checks the arithmetic that trains.
+error. One private step computes them: `train_layer` runs every batch
+through it in one workspace allocated per layer, every product and ufunc
+writing into it with `out=` and the update subtracting lr * grad in place,
+and `loss_and_gradients` runs it in a workspace of its own. So checking
+those gradients against finite differences of its own loss checks the
+arithmetic that trains, and training's bytes are those of the allocating
+form, a fresh array per intermediate.
+
+The sigmoid is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with
+e = exp(min(x, -x)), so exp cannot overflow. Its numerator is
+maximum(e, x >= 0) rather than a masked select: e <= 1, so that is 1 for
+x >= 0 and e below, and `maximum` returns e's NaN as it is, bit for bit
+where(x >= 0, 1, e).
 """
 
 from __future__ import annotations
@@ -47,20 +57,36 @@ class ActivationKind(str, Enum):
     SIGMOID = "sigmoid"
     RELU = "relu"
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(
+        self, x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The activation of x, written into `out` when given (`out` may be
+        x itself). The sigmoid works in `scratch` when given, an array of
+        x's shape apart from `out`."""
+        if out is None:
+            out = np.empty(x.shape)
         if self is ActivationKind.SIGMOID:
             # exp only ever sees -|x|, so it cannot overflow: 1 / (1 + e^-x)
             # for x >= 0 and e^x / (1 + e^x) below. np.minimum returns its
             # first argument when both are NaN, so a NaN keeps its sign.
-            e = np.exp(np.minimum(x, -x))
-            return np.where(x >= 0, 1.0, e) / (1.0 + e)
-        return np.maximum(x, 0.0)
+            # e <= 1, so maximum(e, x >= 0) is 1 for x >= 0 and e below, and
+            # it returns e's NaN as it is: bitwise where(x >= 0, 1, e).
+            e = np.negative(x, out=scratch)
+            np.minimum(x, e, out=e)
+            np.exp(e, out=e)
+            np.greater_equal(x, 0.0, out=out)
+            np.maximum(e, out, out=out)
+            np.add(e, 1.0, out=e)
+            return np.divide(out, e, out=out)
+        return np.maximum(x, 0.0, out=out)
 
-    def derivative_from_output(self, y: np.ndarray) -> np.ndarray:
-        """Exact derivative at x, given the activation's output y = apply(x)."""
+    def derivative_from_output(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Exact derivative at x, given the activation's output y = apply(x),
+        written into `out` when given (`out` must not be y)."""
         if self is ActivationKind.SIGMOID:
-            return y * (1.0 - y)
-        return (y > 0.0).astype(np.float64)
+            out = np.subtract(1.0, y, out=out)
+            return np.multiply(y, out, out=out)
+        return np.greater(y, 0.0, out=np.empty(y.shape) if out is None else out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +179,58 @@ def init_layer(
     )
 
 
+class _Workspace:
+    """Every array one training step writes, for batches of up to `rows`
+    rows of an (input_dim -> hidden_dim) layer; a step of m rows works in
+    the first m rows of each."""
+
+    def __init__(self, rows: int, input_dim: int, hidden_dim: int):
+        self.x_rec = np.empty((rows, input_dim))
+        self.g_out = np.empty((rows, input_dim))  # residual, then output-side error
+        self.tmp_in = np.empty((rows, input_dim))
+        self.z = np.empty((rows, hidden_dim))
+        self.g_hidden = np.empty((rows, hidden_dim))
+        self.tmp_hidden = np.empty((rows, hidden_dim))
+        self.grads = Gradients(
+            w_enc=np.empty((hidden_dim, input_dim)),
+            b_enc=np.empty(hidden_dim),
+            w_dec=np.empty((input_dim, hidden_dim)),
+            b_dec=np.empty(input_dim),
+        )
+
+
+def _step(layer: LayerParams, batch: np.ndarray, ws: _Workspace) -> float:
+    """One forward/backward pass over an (m, input_dim) batch, every array
+    written into the first m rows of `ws`: returns the batch-mean
+    reconstruction error and leaves its gradients in `ws.grads`."""
+    n, d = batch.shape
+    x_rec, g_out, tmp_in = ws.x_rec[:n], ws.g_out[:n], ws.tmp_in[:n]
+    z, g_hidden, tmp_hidden = ws.z[:n], ws.g_hidden[:n], ws.tmp_hidden[:n]
+    grads = ws.grads
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(batch, layer.w_enc.T, out=z)
+        np.add(z, layer.b_enc, out=z)
+        layer.act_hidden.apply(z, out=z, scratch=tmp_hidden)
+        np.matmul(z, layer.w_dec.T, out=x_rec)
+        np.add(x_rec, layer.b_dec, out=x_rec)
+        layer.act_out.apply(x_rec, out=x_rec, scratch=tmp_in)
+        np.subtract(x_rec, batch, out=g_out)
+        np.square(g_out, out=tmp_in)
+        # np.mean's own arithmetic: one pairwise sum, then the division
+        loss = float(np.add.reduce(tmp_in, axis=None)) / tmp_in.size
+        np.multiply(g_out, 2.0 / (d * n), out=g_out)
+        layer.act_out.derivative_from_output(x_rec, out=tmp_in)
+        np.multiply(g_out, tmp_in, out=g_out)
+        np.matmul(g_out, layer.w_dec, out=g_hidden)
+        layer.act_hidden.derivative_from_output(z, out=tmp_hidden)
+        np.multiply(g_hidden, tmp_hidden, out=g_hidden)
+        np.matmul(g_hidden.T, batch, out=grads.w_enc)
+        np.add.reduce(g_hidden, axis=0, out=grads.b_enc)
+        np.matmul(g_out.T, z, out=grads.w_dec)
+        np.add.reduce(g_out, axis=0, out=grads.b_dec)
+    return loss
+
+
 def loss_and_gradients(layer: LayerParams, batch: np.ndarray) -> tuple[float, Gradients]:
     """One forward/backward pass over a (rows, input_dim) batch: the
     batch-mean reconstruction error and its analytic gradients.
@@ -160,26 +238,15 @@ def loss_and_gradients(layer: LayerParams, batch: np.ndarray) -> tuple[float, Gr
     The per-sample loss is ||x - x_rec||^2 / d with d the input width, so
     the output-side error signal carries a 2 / (d * n) factor. Non-finite
     values pass through silently; the caller decides whether a non-finite
-    loss is an error. This is the step `train_layer` takes on every batch.
+    loss is an error. This is the step `train_layer` takes on every batch,
+    run in a workspace of its own, so the gradients returned are fresh
+    arrays.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != layer.input_dim:
         raise ValueError(f"batch has shape {batch.shape}, expected (*, {layer.input_dim})")
-    n, d = batch.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = layer.act_hidden.apply(batch @ layer.w_enc.T + layer.b_enc)
-        x_rec = layer.act_out.apply(z @ layer.w_dec.T + layer.b_dec)
-        residual = x_rec - batch
-        loss = float(np.mean(residual**2))
-        g_out = (2.0 / (d * n)) * residual * layer.act_out.derivative_from_output(x_rec)
-        g_hidden = (g_out @ layer.w_dec) * layer.act_hidden.derivative_from_output(z)
-        grads = Gradients(
-            w_enc=g_hidden.T @ batch,
-            b_enc=g_hidden.sum(axis=0),
-            w_dec=g_out.T @ z,
-            b_dec=g_out.sum(axis=0),
-        )
-    return loss, grads
+    ws = _Workspace(batch.shape[0], layer.input_dim, layer.hidden_dim)
+    return _step(layer, batch, ws), ws.grads
 
 
 def train_layer(
@@ -194,7 +261,9 @@ def train_layer(
     (losses measured on each batch before its update, averaged over the
     epoch's samples; the final short batch contributes its actual size).
     Raises TrainingDivergedError, naming epoch and batch, if the loss goes
-    non-finite.
+    non-finite. Every batch is gathered into one buffer and runs through
+    `_step` in one workspace, both allocated for the layer, and the update
+    subtracts lr * grad from the parameters in place.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
@@ -207,7 +276,15 @@ def train_layer(
     # the arrays of `layer` are updated in place; nothing outside this
     # function sees them until they are validated again as a new LayerParams
     layer = init_layer(d, hidden_size, rng, cfg.act_hidden, cfg.act_out)
-    params = (layer.w_enc, layer.b_enc, layer.w_dec, layer.b_dec)
+    batch_rows = min(cfg.batch_size, n)
+    ws = _Workspace(batch_rows, d, hidden_size)
+    gathered = np.empty((batch_rows, d))  # each batch's rows
+    steps = (
+        (layer.w_enc, ws.grads.w_enc),
+        (layer.b_enc, ws.grads.b_enc),
+        (layer.w_dec, ws.grads.w_dec),
+        (layer.b_dec, ws.grads.b_dec),
+    )
 
     history: list[float] = []
     order = np.arange(n)
@@ -216,16 +293,19 @@ def train_layer(
             rng.shuffle(order)
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = data[order[start : start + cfg.batch_size]]
-            loss, grads = loss_and_gradients(layer, batch)
+            rows = order[start : start + cfg.batch_size]
+            # the rows are in range, so "clip" changes nothing; "raise" would
+            # gather into a buffer and copy that into `out`
+            batch = np.take(data, rows, axis=0, out=gathered[: rows.size], mode="clip")
+            loss = _step(layer, batch, ws)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            epoch_loss += loss * batch.shape[0]
-            steps = (grads.w_enc, grads.b_enc, grads.w_dec, grads.b_dec)
-            for param, grad in zip(params, steps):
-                param -= cfg.learning_rate * grad
+            epoch_loss += loss * rows.size
+            for param, grad in steps:
+                np.multiply(grad, cfg.learning_rate, out=grad)
+                np.subtract(param, grad, out=param)
         history.append(epoch_loss / n)
 
     trained = LayerParams(
@@ -256,7 +336,9 @@ class EncoderLayer:
         return self.w.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.activation.apply(x @ self.w.T + self.b)
+        a = x @ self.w.T
+        a += self.b
+        return self.activation.apply(a, out=a)
 
 
 @dataclass(frozen=True, eq=False)

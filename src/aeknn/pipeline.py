@@ -48,6 +48,7 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
+from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -360,7 +361,9 @@ def _fit_in_child(pipe, splits) -> None:
 
 def _fit_in_children(splits, workers: int) -> list:
     """Each split's (stats, reducer, fit seconds), in plan order, fitted in
-    `workers` forked children; split i goes to child i mod workers. Every
+    `workers` forked children; split i goes to child i mod workers. The
+    pipes are read as they become ready, so the first child to report a
+    failure, or to die before sending its fits, is raised at once. Every
     child is killed and joined before this returns or raises. The caller
     must not be a daemonic process, which `multiprocessing` lets have no
     children (`_fold_workers` gives it 1)."""
@@ -385,12 +388,15 @@ def _fit_in_children(splits, workers: int) -> list:
                 finally:
                     writer.close()
                 children.append((child, reader, positions))
-        sent = []  # each child's (fits, failure), or None if it died first
-        for _, reader, _ in children:
-            try:
-                sent.append(reader.recv())
-            except (EOFError, OSError):  # nothing, or only a part, came through
-                sent.append(None)
+        sent = {}  # read end -> its child's (fits, failure), or None if it died first
+        while len(sent) < len(children):
+            for reader in wait([reader for _, reader, _ in children if reader not in sent]):
+                try:
+                    sent[reader] = reader.recv()
+                except (EOFError, OSError):  # nothing, or only a part, came through
+                    sent[reader] = None
+            if any(outcome is None or outcome[1] is not None for outcome in sent.values()):
+                break
     finally:
         for child, reader, _ in children:
             reader.close()
@@ -398,7 +404,10 @@ def _fit_in_children(splits, workers: int) -> list:
             child.join()
 
     fitted = [None] * len(splits)
-    for (child, _, positions), outcome in zip(children, sent):
+    for child, reader, positions in children:
+        if reader not in sent:  # killed while fitting, after another child failed
+            continue
+        outcome = sent[reader]
         if outcome is None:
             names = ", ".join(f"rep {splits[p][0]} fold {splits[p][1]}" for p in positions)
             code = child.exitcode
@@ -434,7 +443,9 @@ def run_cv(
     children) or a platform without `os.fork` does. An exception from a
     fold is raised again with its type, its message prefixed
     `rep R fold F:`; a child that dies without sending its fits raises a
-    `RuntimeError` naming its folds and its exit status.
+    `RuntimeError` naming its folds and its exit status. Either is raised as
+    soon as its child reports it or dies, and the other children are killed
+    then, whatever they are still fitting.
     """
     if plan.n_samples != data.n_samples:
         raise ValueError("fold plan was built for a different dataset size")

@@ -98,6 +98,44 @@ class TestActivationOracles:
         assert same_bits(from_output, pre_activation_derivative(kind, points))
 
 
+class TestActivationsInPlace:
+    """The `out=` forms that training writes into its workspace are bitwise
+    the allocating forms."""
+
+    @pytest.fixture(scope="class")
+    def edges(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 800.0, -800.0,
+                  tiny, -tiny, 1e-310, -1e-310, 0.5, -0.5]
+        x = np.array(values * 7)
+        assert np.signbit(x[4]) != np.signbit(x[5])  # both NaN signs
+        return x
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    @pytest.mark.parametrize("aliased", [False, True], ids=["fresh-out", "out-is-x"])
+    def test_apply_into_out_equals_allocating_form(self, kind, edges, aliased):
+        want = kind.apply(edges)
+        x = edges.copy()
+        out = x if aliased else np.full_like(x, 7.0)
+        got = kind.apply(x, out=out, scratch=np.full_like(x, 3.0))
+        assert got is out
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_derivative_into_out_equals_allocating_form(self, kind, edges):
+        y = kind.apply(edges)
+        out = np.full_like(y, 7.0)
+        got = kind.derivative_from_output(y, out=out)
+        assert got is out
+        assert same_bits(got, kind.derivative_from_output(y))
+
+    def test_relu_derivative_in_a_float_buffer_is_the_cast_mask(self, edges):
+        y = ActivationKind.RELU.apply(edges)
+        out = np.full_like(y, 7.0)
+        ActivationKind.RELU.derivative_from_output(y, out=out)
+        assert same_bits(out, (y > 0).astype(np.float64))
+
+
 def manual_layer(w_enc, b_enc, w_dec, b_dec, hidden=ActivationKind.SIGMOID, out=ActivationKind.SIGMOID):
     return LayerParams(
         w_enc=np.asarray(w_enc, float),
@@ -351,6 +389,106 @@ class TestTrainLayer:
         for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
             want = getattr(init, name) - cfg.learning_rate * getattr(grads, name)
             assert same_bits(getattr(params, name), want), name
+
+    @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.RELU])
+    def test_unshuffled_epochs_are_sequential_checked_gradient_steps(self, hidden):
+        # 29 rows in batches of 8: three full batches and a short one per epoch
+        data = np.random.default_rng(22).uniform(size=(29, 5))
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.7, seed=4,
+                          shuffle_each_epoch=False, act_hidden=hidden,
+                          act_out=ActivationKind.SIGMOID)
+        params, history = train_layer(data, 3, cfg)
+        init = init_layer(5, 3, np.random.default_rng(4), hidden, ActivationKind.SIGMOID)
+        arrays = {name: getattr(init, name).copy() for name in ("w_enc", "b_enc", "w_dec", "b_dec")}
+        want_history = []
+        for _ in range(cfg.epochs):
+            epoch_loss = 0.0
+            for start in range(0, 29, 8):
+                batch = data[start : start + 8]
+                layer = manual_layer(**arrays, hidden=hidden)
+                loss, grads = loss_and_gradients(layer, batch)
+                epoch_loss += loss * batch.shape[0]
+                for name in arrays:
+                    arrays[name] = arrays[name] - cfg.learning_rate * getattr(grads, name)
+            want_history.append(epoch_loss / 29)
+        for name, want in arrays.items():
+            assert same_bits(getattr(params, name), want), name
+        assert history == want_history
+
+    def test_gradients_are_not_shared_between_calls(self):
+        rng = np.random.default_rng(23)
+        layer = layer_with_biases(rng, 6, 4)
+        first_loss, first = loss_and_gradients(layer, rng.uniform(size=(9, 6)))
+        kept = {name: getattr(first, name).copy() for name in ("w_enc", "b_enc", "w_dec", "b_dec")}
+        second_loss, second = loss_and_gradients(layer, rng.uniform(size=(9, 6)))
+        assert first_loss != second_loss
+        for name, want in kept.items():
+            assert same_bits(getattr(first, name), want), name
+            assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+
+
+def allocating_sigmoid(x):
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_activation(kind, x):
+    return allocating_sigmoid(x) if kind is ActivationKind.SIGMOID else np.maximum(x, 0.0)
+
+
+def reference_train_layer(data, hidden_size, cfg):
+    """Mini-batch descent in its allocating form: a fresh array for every
+    intermediate, the masked-select sigmoid, `derivative_from_output` and
+    `param -= lr * grad`."""
+    rng = np.random.default_rng(cfg.seed)
+    n, d = data.shape
+    init = init_layer(d, hidden_size, rng, cfg.act_hidden, cfg.act_out)
+    w_enc, b_enc, w_dec, b_dec = (a.copy() for a in (init.w_enc, init.b_enc, init.w_dec, init.b_dec))
+    history, order = [], np.arange(n)
+    for _ in range(cfg.epochs):
+        if cfg.shuffle_each_epoch:
+            rng.shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = data[order[start : start + cfg.batch_size]]
+            m = batch.shape[0]
+            z = reference_activation(cfg.act_hidden, batch @ w_enc.T + b_enc)
+            x_rec = reference_activation(cfg.act_out, z @ w_dec.T + b_dec)
+            residual = x_rec - batch
+            epoch_loss += float(np.mean(residual**2)) * m
+            g_out = (2.0 / (d * m)) * residual * cfg.act_out.derivative_from_output(x_rec)
+            g_hidden = (g_out @ w_dec) * cfg.act_hidden.derivative_from_output(z)
+            w_enc -= cfg.learning_rate * (g_hidden.T @ batch)
+            b_enc -= cfg.learning_rate * g_hidden.sum(axis=0)
+            w_dec -= cfg.learning_rate * (g_out.T @ z)
+            b_dec -= cfg.learning_rate * g_out.sum(axis=0)
+        history.append(epoch_loss / n)
+    return (w_enc, b_enc, w_dec, b_dec), history
+
+
+class TestTrainLayerBitwise:
+    """`train_layer` writes every step into one workspace; its weights,
+    biases and losses are the allocating loop's, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return np.random.default_rng(31).uniform(size=(203, 12))
+
+    @pytest.mark.parametrize("hidden", list(ActivationKind))
+    @pytest.mark.parametrize("out", list(ActivationKind))
+    @pytest.mark.parametrize("learning_rate", [1.0, 0.01])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("batch_size", [7, 32, 101, 500])
+    def test_equals_the_allocating_loop(self, data, hidden, out, learning_rate, shuffle, batch_size):
+        # 203 rows: batches of 7 divide them evenly, of 32 leave 11 rows and
+        # of 101 one row, and 500 is one batch holding every row
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, learning_rate=learning_rate, seed=5,
+                          shuffle_each_epoch=shuffle, act_hidden=hidden, act_out=out)
+        params, history = train_layer(data, 5, cfg)
+        want, want_history = reference_train_layer(data, 5, cfg)
+        for name, ref in zip(("w_enc", "b_enc", "w_dec", "b_dec"), want):
+            assert same_bits(getattr(params, name), ref), name
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
 
 
 class TestBuildStack:

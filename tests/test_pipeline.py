@@ -458,6 +458,40 @@ class TestForkedFits:
         assert str(caught.value) == "rep 1 fold 2: ArithmeticError: weights diverged"
         assert_no_child_left()
 
+    def test_a_failure_is_raised_while_an_earlier_child_still_fits(self, monkeypatch):
+        data = blob_data(n=100, seed=22)
+        plan = make_folds(data, 1, 4, seed=22)
+
+        def fail():
+            raise ArithmeticError("weights diverged")
+
+        # split i goes to child i mod 2: child 0 sleeps on fold 0 while
+        # child 1 fails at once on fold 1
+        self.failing_fit(monkeypatch, plan, 0, 0, lambda: time.sleep(30))
+        self.failing_fit(monkeypatch, plan, 0, 1, fail)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError, match=r"^rep 0 fold 1: weights diverged$"):
+            run_cv(data, plan, cfg, workers=2)
+        assert time.perf_counter() - t0 < 10
+        assert_no_child_left()
+
+    def test_fits_arriving_out_of_order_come_back_in_plan_order(self, monkeypatch):
+        data = blob_data(n=100, seed=23)
+        plan = make_folds(data, 2, 4, seed=23)
+        cfg = PipelineConfig(reducer="ae", ppl=(0.5,), k=3, train_cfg=fast_ae)
+        one = run_cv(data, plan, cfg, workers=1)
+        # child 0 holds folds 0 and 2 of each repetition; it sends last
+        self.failing_fit(monkeypatch, plan, 0, 0, lambda: time.sleep(1))
+        two = run_cv(data, plan, cfg, workers=2)
+        assert two.fold_workers == 2
+        assert (one.accuracy, one.fscore, one.auc_score) == (two.accuracy, two.fscore, two.auc_score)
+        for a, b in zip(one.fold_results, two.fold_results, strict=True):
+            assert a.predictions.tobytes() == b.predictions.tobytes()
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.test_indices.tobytes() == b.test_indices.tobytes()
+        assert_no_child_left()
+
     def test_a_daemonic_caller_fits_its_folds_in_process(self):
         # multiprocessing lets a daemonic process start no children, so
         # run_cv there fits in process whatever `workers` asks for
