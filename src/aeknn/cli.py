@@ -4,9 +4,10 @@ Subcommands:
   eval      run cross-validated experiments over datasets x configurations
             and emit per-metric result tables, per-fold audit files and a
             run manifest. Dataset-major: each CSV is parsed once and its fold
-            plan built once, in the main process, and every configuration's
-            cell runs on that shared pair (in --jobs worker processes when
-            asked); a parse or plan failure fails all of that dataset's cells
+            plan built once, and every configuration's cell runs on that
+            shared pair, one cell after another in this process; --jobs caps
+            the processes `run_cv` fits a cell's folds in. A parse or plan
+            failure fails all of that dataset's cells
   stats     Friedman or Wilcoxon analysis of a labeled result-matrix CSV
   plotdata  flatten a manifest into plot-ready (dataset, configuration,
             value) files, one per metric
@@ -17,7 +18,6 @@ Every emitted byte is determined by the arguments plus the --seed value.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import hashlib
 import json
@@ -52,11 +52,12 @@ def parse_ppl(text: str) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ExperimentSpec:
     datasets: tuple[str, ...]
+    dataset_names: tuple[str, ...]  # file stems, distinct
     configs: tuple[tuple[str, PipelineConfig], ...]  # (label, config)
     repetitions: int
     folds: int
     seed: int
-    jobs: int
+    jobs: int | None  # None: the usable CPUs
     out_dir: str
     has_header: bool
     label_column: int | None
@@ -122,7 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--epochs", type=int, default=None)
     ev.add_argument("--batch-size", type=int, default=None)
     ev.add_argument("--lr", type=float, default=None)
-    ev.add_argument("--jobs", type=int, default=1)
+    ev.add_argument(
+        "--jobs", type=int, default=None,
+        help="at most N processes fit folds at once (default: the usable CPUs)",
+    )
     ev.add_argument("--out", default="results")
     ev.add_argument("--header", action="store_true", help="datasets carry a header row")
     ev.add_argument("--label-column", type=int, default=None, help="default: last column")
@@ -196,6 +200,11 @@ def _configs_from_ini(
     return configs
 
 
+# a configuration label heads a column, and a dataset's file stem a row, of
+# result CSVs written unquoted
+_CSV_UNSAFE = frozenset(',"\r\n')
+
+
 def _resolve_spec(args) -> ExperimentSpec:
     ini = _read_ini(args.config) if args.config else configparser.ConfigParser()
     file_defaults = ini["defaults"] if ini.has_section("defaults") else {}
@@ -232,11 +241,28 @@ def _resolve_spec(args) -> ExperimentSpec:
     labels = [label for label, _ in configs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate configuration labels: {labels}")
+    stems: dict[str, str] = {}  # file stem -> its path
+    for path in datasets:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in stems:
+            raise ValueError(
+                f"datasets {stems[stem]} and {path} share the file stem {stem!r}, "
+                "which names their result rows and audit files"
+            )
+        stems[stem] = path
+    named = [("configuration label", label) for label in labels]
+    named += [(f"dataset {path}: file stem", stem) for stem, path in stems.items()]
+    for what, name in named:
+        if _CSV_UNSAFE.intersection(name):
+            raise ValueError(
+                f"{what} {name!r} holds a comma, quote or line break, "
+                "which the result CSVs cannot carry"
+            )
     if reps < 1:
         raise ValueError(f"--reps must be >= 1, got {reps}")
     if folds < 2:
         raise ValueError(f"--folds must be >= 2, got {folds}")
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.positive_class not in (0, 1):
         raise ValueError(
@@ -245,6 +271,7 @@ def _resolve_spec(args) -> ExperimentSpec:
         )
     return ExperimentSpec(
         datasets=tuple(datasets),
+        dataset_names=tuple(stems),
         configs=tuple(configs),
         repetitions=reps,
         folds=folds,
@@ -258,12 +285,12 @@ def _resolve_spec(args) -> ExperimentSpec:
 
 
 def _run_cell(
-    data: Dataset, plan: FoldPlan, cfg: PipelineConfig, positive: int, workers: int | None
+    data: Dataset, plan: FoldPlan, cfg: PipelineConfig, spec: ExperimentSpec, audit_path: str
 ) -> dict:
     """One (dataset, configuration) cell on its dataset's shared parse and
-    fold plan; module-level so --jobs workers can unpickle it. `workers`
-    caps the processes `run_cv` fits the folds in."""
-    result = run_cv(data, plan, cfg, positive=positive, workers=workers)
+    fold plan: its audit CSV is written at once, and its manifest entry
+    returned."""
+    result = run_cv(data, plan, cfg, positive=spec.positive, workers=spec.jobs)
     audit = ["repetition,fold,row_id,true_label,predicted_label," + ",".join(
         f"score_{c}" for c in data.class_names
     )]
@@ -276,7 +303,9 @@ def _run_cell(
             audit.append(
                 f"{rep},{fold_idx},{row_id},{true},{predicted}," + ",".join(map(repr, scores))
             )
+    _atomic_write(audit_path, "\n".join(audit) + "\n")
     return {
+        "status": "ok",
         "metrics": {
             "accuracy": result.accuracy,
             "fscore": result.fscore,
@@ -285,20 +314,8 @@ def _run_cell(
         },
         "fit_seconds": result.fit_seconds,
         "fold_workers": result.fold_workers,
-        "audit_text": "\n".join(audit) + "\n",
+        "fold_plan_fingerprint": plan.fingerprint(),
     }
-
-
-class _InlineExecutor(concurrent.futures.Executor):
-    """Runs each submitted call at once in this process (--jobs 1)."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = concurrent.futures.Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:  # cell failures are reported, not fatal
-            future.set_exception(exc)
-        return future
 
 
 def _matrix_csv(datasets, labels, cells, metric) -> str:
@@ -317,58 +334,35 @@ def _matrix_csv(datasets, labels, cells, metric) -> str:
 
 def cmd_eval(args) -> int:
     spec = _resolve_spec(args)
-    os.makedirs(spec.out_dir, exist_ok=True)
     folds_dir = os.path.join(spec.out_dir, "folds")
     os.makedirs(folds_dir, exist_ok=True)
-    dataset_names = [os.path.splitext(os.path.basename(path))[0] for path in spec.datasets]
     labels = [label for label, _ in spec.configs]
 
-    # dataset-major: each CSV is parsed and its fold plan built once, here,
-    # and every configuration's cell runs on that shared pair
-    plans: dict[str, FoldPlan] = {}
-    futures: dict[tuple[str, str], concurrent.futures.Future] = {}
-    pool = (
-        concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs)
-        if spec.jobs > 1
-        else _InlineExecutor()
-    )
-    # a --jobs worker fits its cell's folds in process, so no more than
-    # --jobs processes fit at once
-    fold_workers = 1 if spec.jobs > 1 else None
-    with pool:
-        for path, ds in zip(spec.datasets, dataset_names):
-            try:
-                data = load_csv(path, label_column=spec.label_column, has_header=spec.has_header)
-                plans[ds] = make_folds(data, spec.repetitions, spec.folds, spec.seed)
-            except Exception as exc:  # fails every cell of this dataset
-                failed = concurrent.futures.Future()
-                failed.set_exception(exc)
-                futures.update(((ds, label), failed) for label in labels)
-                continue
-            for label, cfg in spec.configs:
-                futures[(ds, label)] = pool.submit(
-                    _run_cell, data, plans[ds], cfg, spec.positive, fold_workers
-                )
-
+    # dataset-major: each CSV is parsed and its fold plan built once, and
+    # every configuration's cell runs on that shared pair, one cell after
+    # another, so each cell's classification is timed with no other cell at
+    # work; only run_cv's fold workers run side by side
     cells: dict[tuple[str, str], dict] = {}
     any_failed = False
-    for key, future in futures.items():
-        exc = future.exception()
-        if exc is not None:
-            any_failed = True
-            cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
-            print(f"FAILED {key[0]} x {key[1]}: {cells[key]['reason']}", file=sys.stderr)
-            continue
-        outcome = future.result()
-        cells[key] = {
-            "status": "ok",
-            "metrics": outcome["metrics"],
-            "fit_seconds": outcome["fit_seconds"],
-            "fold_workers": outcome["fold_workers"],
-            "fold_plan_fingerprint": plans[key[0]].fingerprint(),
-        }
-        _atomic_write(os.path.join(folds_dir, f"{key[0]}__{key[1]}.csv"), outcome["audit_text"])
-    for ds, plan in plans.items():
+    for path, ds in zip(spec.datasets, spec.dataset_names):
+        data = plan = None  # the last dataset's pair goes before this one is parsed
+        try:
+            data = load_csv(path, label_column=spec.label_column, has_header=spec.has_header)
+            plan = make_folds(data, spec.repetitions, spec.folds, spec.seed)
+        except Exception as exc:  # fails every cell of this dataset
+            failure = exc
+        for label, cfg in spec.configs:
+            key = (ds, label)
+            try:
+                if plan is None:
+                    raise failure
+                cells[key] = _run_cell(
+                    data, plan, cfg, spec, os.path.join(folds_dir, f"{ds}__{label}.csv")
+                )
+            except Exception as exc:  # cell failures are reported, not fatal
+                any_failed = True
+                cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
+                print(f"FAILED {ds} x {label}: {cells[key]['reason']}", file=sys.stderr)
         # one sidecar per dataset with at least one finished cell
         if any(cells[(ds, label)]["status"] == "ok" for label in labels):
             _atomic_write(os.path.join(folds_dir, f"{ds}.plan"), plan.to_text())
@@ -376,7 +370,7 @@ def cmd_eval(args) -> int:
     for metric in METRICS:
         _atomic_write(
             os.path.join(spec.out_dir, f"{metric}.csv"),
-            _matrix_csv(dataset_names, labels, cells, metric),
+            _matrix_csv(spec.dataset_names, labels, cells, metric),
         )
 
     fingerprint = hashlib.sha256()

@@ -26,14 +26,14 @@ process (a `multiprocessing.Pool` worker, which `multiprocessing` lets
 start no children) runs its folds one after another in process.
 
 Each fold runs whole (fit and training, both encodes, kNN) with every loaded
-OpenBLAS held to one thread, whether it runs in the main process, in an
-`eval --jobs` worker or, for its fit, in one of `run_cv`'s forked fold
-workers, so seeded results do not depend on the host's CPU count.
-Training's batch products and the encodes gain nothing from threads, and
-after a threaded product OpenBLAS's workers busy-wait for about 0.1 s:
-on a two-CPU host that spin halved the speed of the kNN search timed right
-after the training fold's encode, and two --jobs workers with a two-thread
-OpenBLAS each ran the paper's ppl sweep four times slower.
+OpenBLAS held to one thread, whether it runs in the calling process or, for
+its fit, in one of `run_cv`'s forked fold workers, so seeded results do not
+depend on the host's CPU count or on `workers`. Training's batch products
+and the encodes gain nothing from threads, and after a threaded product
+OpenBLAS's workers busy-wait for about 0.1 s: on a two-CPU host that spin
+halved the speed of the kNN search timed right after the training fold's
+encode, and two processes with a two-thread OpenBLAS each ran the paper's
+ppl sweep four times slower.
 """
 
 from __future__ import annotations

@@ -20,6 +20,11 @@ THREE_BASELINES = (
     "[config:pca_0.5]\nreducer = pca\nppl = 0.5\n\n"
     "[config:lda_0.5]\nreducer = lda\nppl = 0.5\n"
 )
+KNN_PCA_AE = (
+    "[config:knn]\nreducer = identity\n\n"
+    "[config:pca1]\nreducer = pca\ntarget_dim = 2\n\n"
+    "[config:ae]\nreducer = ae\nppl = 0.5\n"
+)
 
 
 @pytest.fixture()
@@ -248,6 +253,50 @@ class TestEval:
         assert err.startswith(f"error: {flag} must be") and f"got {value}" in err
         assert not out.exists()
 
+    def test_datasets_sharing_a_file_stem_are_a_usage_error(self, tmp_path, capsys):
+        # each stem names a result row and audit files, so the second file's
+        # cells once overwrote the first's without a word
+        paths = []
+        for seed, folder in ((0, "a"), (1, "b")):
+            (tmp_path / folder).mkdir()
+            data = synth.gaussian_blobs(n_samples=40, n_classes=2, n_features=5, seed=seed)
+            paths.append(tmp_path / folder / "image.csv")
+            synth.write_csv(data, paths[-1])
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", str(paths[0]), "--dataset", str(paths[1]),
+                     "--reducer", "identity", "--seed", "1", "--reps", "1", "--folds", "4",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"datasets {paths[0]} and {paths[1]} share the file stem 'image'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, name", [
+        ("label", "knn,k5"), ("label", 'knn"5'),
+        ("stem", "im,age"), ("stem", 'im"age'), ("stem", "im\rage"), ("stem", "im\nage"),
+    ])
+    def test_name_the_result_csvs_cannot_carry_is_a_usage_error(
+        self, tmp_path, capsys, where, name
+    ):
+        # `[config:knn,k5]` with `im,age.csv` once wrote the row `im,age,...`
+        # under the header `dataset,knn,k5`, a table `aeknn stats` refused
+        path = tmp_path / (f"{name}.csv" if where == "stem" else "alpha.csv")
+        synth.write_csv(synth.gaussian_blobs(n_samples=40, n_classes=2, n_features=5), path)
+        out = tmp_path / "x"
+        argv = ["eval", "--dataset", str(path), "--seed", "1", "--reps", "1", "--folds", "4",
+                "--out", str(out)]
+        if where == "label":
+            ini = tmp_path / "exp.ini"
+            ini.write_text(f"[config:{name}]\nreducer = identity\n", encoding="utf-8")
+            argv += ["--config", str(ini)]
+            named = f"configuration label {name!r}"
+        else:
+            argv += ["--reducer", "identity"]
+            named = f"dataset {path}: file stem {name!r}"
+        assert main(argv) == 2
+        assert f"{named} holds a comma, quote or line break" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("where", ["flag", "file"])
     def test_non_finite_ppl_is_a_usage_error(self, blob_csvs, tmp_path, capsys, value, where):
@@ -286,38 +335,72 @@ class TestEval:
 
     def test_parallel_jobs_match_sequential(self, blob_csvs, tmp_path):
         ini = tmp_path / "exp.ini"
-        ini.write_text(
-            "[config:knn]\nreducer = identity\n\n"
-            "[config:pca1]\nreducer = pca\ntarget_dim = 2\n\n"
-            "[config:ae]\nreducer = ae\nppl = 0.5\n",
-            encoding="utf-8",
-        )
+        ini.write_text(KNN_PCA_AE, encoding="utf-8")
         args = [
             "eval", "--dataset", blob_csvs[0], "--dataset", blob_csvs[1],
             "--config", str(ini), "--seed", "13", "--reps", "1", "--folds", "4",
             "--epochs", "3", "--lr", "0.5",
         ]
-        seq = tmp_path / "seq"
-        par = tmp_path / "par"
-        assert main(args + ["--out", str(seq), "--jobs", "1"]) == 0
-        assert main(args + ["--out", str(par), "--jobs", "2"]) == 0
-        for metric in ("accuracy", "fscore", "auc"):
-            assert (seq / f"{metric}.csv").read_bytes() == (par / f"{metric}.csv").read_bytes()
-        # the audit CSVs and plan sidecars too
-        names = sorted(os.listdir(seq / "folds"))
-        assert names == sorted(os.listdir(par / "folds")) and len(names) == 8
-        for name in names:
-            assert (seq / "folds" / name).read_bytes() == (par / "folds" / name).read_bytes()
-        # with --jobs 2 each cell fits its folds in its own worker; with one
-        # job an autoencoder cell fits them in forked children
-        manifests = [json.loads((out / "manifest.json").read_text()) for out in (seq, par)]
-        forked = min(pipeline.usable_cpus(), 4) if hasattr(os, "fork") else 1
-        for manifest, ae_workers in zip(manifests, (forked, 1)):
+        forked = hasattr(os, "fork")
+        # the processes an autoencoder cell fits its 4 folds in; every
+        # other cell fits them in process
+        runs = {
+            "default": ([], min(pipeline.usable_cpus(), 4) if forked else 1),
+            "jobs1": (["--jobs", "1"], 1),
+            "jobs2": (["--jobs", "2"], 2 if forked else 1),
+        }
+        manifests = {}
+        for name, (flags, ae_workers) in runs.items():
+            assert main(args + ["--out", str(tmp_path / name)] + flags) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
             assert manifest["nproc"] == pipeline.usable_cpus()
             assert {key: cell["fold_workers"] for key, cell in manifest["cells"].items()} == {
                 f"{ds}::{label}": ae_workers if label == "ae" else 1
                 for ds in ("alpha", "beta") for label in ("knn", "pca1", "ae")
             }
+            for cell in manifest["cells"].values():
+                del cell["metrics"]["time"], cell["fit_seconds"], cell["fold_workers"]
+            manifests[name] = manifest
+        first = tmp_path / "default"
+        names = sorted(os.listdir(first / "folds"))
+        assert len(names) == 8  # 6 audit CSVs and 2 plan sidecars
+        for name in runs:
+            assert manifests[name] == manifests["default"]
+            for metric in ("accuracy", "fscore", "auc"):
+                assert (tmp_path / name / f"{metric}.csv").read_bytes() == (
+                    first / f"{metric}.csv"
+                ).read_bytes()
+            assert sorted(os.listdir(tmp_path / name / "folds")) == names
+            for audit in names:
+                assert (tmp_path / name / "folds" / audit).read_bytes() == (
+                    first / "folds" / audit
+                ).read_bytes()
+
+    def test_no_fold_child_is_alive_while_a_fold_classifies(
+        self, blob_csvs, tmp_path, monkeypatch
+    ):
+        alone = []
+        real_classify = pipeline.classify_batch
+
+        def classify_batch(*args, **kwargs):
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                alone.append(False)
+            except ChildProcessError:
+                alone.append(True)
+            return real_classify(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "classify_batch", classify_batch)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(KNN_PCA_AE, encoding="utf-8")
+        code = main(
+            ["eval", "--dataset", blob_csvs[0], "--dataset", blob_csvs[1], "--config", str(ini),
+             "--seed", "13", "--reps", "1", "--folds", "4", "--epochs", "3", "--lr", "0.5",
+             "--jobs", "2", "--out", str(tmp_path / "results")]
+        )
+        assert code == 0
+        # every fold of every cell classifies here, and alone
+        assert alone == [True] * (2 * 3 * 4)
 
     def test_each_dataset_parsed_and_planned_once(self, blob_csvs, tmp_path, monkeypatch):
         calls = {"load_csv": [], "make_folds": 0}
@@ -415,7 +498,8 @@ class TestBenchmarkSpans:
             patches.close()
         assert cli.load_csv is dataset.load_csv and cli.run_cv is pipeline.run_cv
 
-    def test_traced_eval_counts_one_parse_per_dataset(self, spans, blob_csvs, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--jobs", "2"]], ids=["default", "jobs2"])
+    def test_traced_eval_counts_one_parse_per_dataset(self, spans, blob_csvs, tmp_path, flags):
         ini = tmp_path / "exp.ini"
         ini.write_text(THREE_BASELINES, encoding="utf-8")
         tracer = spans.Tracer()
@@ -424,7 +508,7 @@ class TestBenchmarkSpans:
             code = main(
                 ["eval", "--dataset", blob_csvs[0], "--dataset", blob_csvs[1],
                  "--config", str(ini), "--seed", "3", "--reps", "1", "--folds", "4",
-                 "--out", str(tmp_path / "results")]
+                 "--out", str(tmp_path / "results")] + flags
             )
         finally:
             patches.close()
