@@ -258,6 +258,27 @@ def _resolve_spec(args) -> ExperimentSpec:
                 f"{what} {name!r} holds a comma, quote or line break, "
                 "which the result CSVs cannot carry"
             )
+    for label in labels:
+        if "/" in label:
+            raise ValueError(
+                f"configuration label {label!r} holds a '/', "
+                "which its audit file names cannot carry"
+            )
+    for stem, path in stems.items():
+        if "::" in stem:
+            raise ValueError(
+                f"dataset {path}: file stem {stem!r} holds '::', which ends the dataset "
+                "in the manifest's cell keys"
+            )
+    audits: dict[str, str] = {}  # audit file name -> its cell
+    for stem in stems:
+        for label in labels:
+            audit, cell = _audit_name(stem, label), f"{stem} x {label}"
+            if audit in audits:
+                raise ValueError(
+                    f"cells {audits[audit]} and {cell} share the audit file folds/{audit}"
+                )
+            audits[audit] = cell
     if reps < 1:
         raise ValueError(f"--reps must be >= 1, got {reps}")
     if folds < 2:
@@ -282,6 +303,11 @@ def _resolve_spec(args) -> ExperimentSpec:
         label_column=args.label_column,
         positive=args.positive_class,
     )
+
+
+def _audit_name(dataset: str, label: str) -> str:
+    """The file under `folds/` that holds a cell's per-row audit."""
+    return f"{dataset}__{label}.csv"
 
 
 def _run_cell(
@@ -357,7 +383,7 @@ def cmd_eval(args) -> int:
                 if plan is None:
                     raise failure
                 cells[key] = _run_cell(
-                    data, plan, cfg, spec, os.path.join(folds_dir, f"{ds}__{label}.csv")
+                    data, plan, cfg, spec, os.path.join(folds_dir, _audit_name(ds, label))
                 )
             except Exception as exc:  # cell failures are reported, not fatal
                 any_failed = True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +94,12 @@ class SubsetView:
     Unlike Dataset, a view may miss some classes (a test fold can contain a
     class absent from its training fold).
 
-    `features` gathers the rows on every read, so a fold holds no copy of
-    its raw rows between reads: `pipeline.run_fold` reads each side once
-    and keeps only the normalized matrix. The test rows' gather therefore
-    falls inside the fold's `encode_seconds`, well under a millisecond for
-    a semeion-sized fold.
+    `features` gathers the rows into a new array on every read, so a fold
+    holds no copy of its raw rows between reads, and each read is the
+    reader's own to write: `pipeline.run_fold` reads each side once and
+    normalizes that gather in place, so a fold holds one copy per side.
+    The test rows' gather therefore falls inside the fold's
+    `encode_seconds`, well under a millisecond for a semeion-sized fold.
     """
 
     source: np.ndarray
@@ -192,11 +194,23 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
     Features are parsed by Python's `float`, which accepts surrounding
     whitespace. Parse errors report the offending row as its line in the
     file (blank lines counted) and the column, both 1-based.
+
+    One `csv.reader` pass checks each row as it is read and appends its
+    floats to one row-major float64 buffer, which becomes the feature
+    matrix without a copy: loading holds about 8 bytes per cell, not a
+    Python string per cell until the file ends. Since rows are checked as
+    they are read, an earlier bad cell is reported before a `csv.reader`
+    error on a later line (say a field longer than
+    `csv.field_size_limit()`). Non-finite values are looked for only after
+    the last row, so a parse error on any row is reported before them.
     """
     path = str(path)
     header: list[str] | None = None
-    rows: list[list[str]] = []
-    lines: list[int] = []
+    width = label_idx = None
+    values = array("d")  # the feature cells, row after row
+    labels = array("q")
+    lines = array("q")  # each kept row's line in the file
+    class_index: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         for row in reader:
@@ -205,14 +219,53 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
             if has_header and header is None:
                 header = [cell.strip() for cell in row]
                 continue
-            rows.append(row)
-            lines.append(reader.line_num)
-    if not rows:
+            line = reader.line_num
+            if width is None:
+                width = len(row)
+                label_idx = _label_index(path, label_column, header, width)
+            if len(row) != width:
+                raise ValueError(f"{path}: row {line} has {len(row)} columns, expected {width}")
+            label = row.pop(label_idx).strip()
+            if not label:
+                raise ValueError(f"{path}: empty label at row {line}")
+            labels.append(class_index.setdefault(label, len(class_index)))
+            try:
+                values.fromlist(list(map(float, row)))
+            except ValueError:
+                j = _first_non_float(row)
+                raise ValueError(
+                    f"{path}: non-numeric value {row[j].strip()!r} at row {line}, "
+                    f"column {_file_column(j, label_idx)}"
+                ) from None
+            lines.append(line)
+    if width is None:
         raise ValueError(f"{path}: empty file")
 
-    width = len(rows[0])
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
+    non_finite = np.argwhere(~np.isfinite(features))
+    if non_finite.size:
+        i, j = non_finite[0]
+        raise ValueError(
+            f"{path}: non-finite value at row {lines[i]}, column {_file_column(j, label_idx)}"
+        )
+
+    if len(class_index) < 2:
+        raise ValueError(f"{path}: single-class dataset, classification is degenerate")
+    if name is None:
+        stem = path.rsplit("/", 1)[-1]
+        name = stem.rsplit(".", 1)[0] if "." in stem else stem
+    return Dataset(
+        features=features,
+        labels=np.frombuffer(labels, dtype=np.int64),
+        class_names=tuple(class_index),
+        name=name,
+    )
+
+
+def _label_index(path: str, label_column, header: list[str] | None, width: int) -> int:
+    """The 0-based label column of rows `width` cells wide."""
     if isinstance(label_column, str):
-        if not has_header or header is None:
+        if header is None:
             raise ValueError("label column given by name but the file has no header")
         try:
             label_idx = header.index(label_column)
@@ -224,42 +277,12 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
             label_idx += width
     if not 0 <= label_idx < width:
         raise ValueError(f"{path}: label column {label_column} out of range for width {width}")
+    return label_idx
 
-    def file_column(j: int) -> int:
-        """1-based file column of feature column j."""
-        return j + 1 if j < label_idx else j + 2
 
-    features = np.empty((len(rows), width - 1), dtype=np.float64)
-    labels = np.empty(len(rows), dtype=np.int64)
-    class_index: dict[str, int] = {}
-    for i, (row, line) in enumerate(zip(rows, lines)):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {line} has {len(row)} columns, expected {width}")
-        label = row.pop(label_idx).strip()
-        if not label:
-            raise ValueError(f"{path}: empty label at row {line}")
-        labels[i] = class_index.setdefault(label, len(class_index))
-        try:
-            features[i] = list(map(float, row))
-        except ValueError:
-            j = _first_non_float(row)
-            raise ValueError(
-                f"{path}: non-numeric value {row[j].strip()!r} at row {line}, "
-                f"column {file_column(j)}"
-            ) from None
-    non_finite = np.argwhere(~np.isfinite(features))
-    if non_finite.size:
-        i, j = non_finite[0]
-        raise ValueError(
-            f"{path}: non-finite value at row {lines[i]}, column {file_column(j)}"
-        )
-
-    if len(class_index) < 2:
-        raise ValueError(f"{path}: single-class dataset, classification is degenerate")
-    if name is None:
-        stem = path.rsplit("/", 1)[-1]
-        name = stem.rsplit(".", 1)[0] if "." in stem else stem
-    return Dataset(features=features, labels=labels, class_names=tuple(class_index), name=name)
+def _file_column(j: int, label_idx: int) -> int:
+    """1-based file column of feature column j."""
+    return j + 1 if j < label_idx else j + 2
 
 
 def _first_non_float(cells: list[str]) -> int:

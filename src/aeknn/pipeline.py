@@ -191,14 +191,22 @@ def fit_fold_model(train: Dataset | "object", cfg: PipelineConfig):
     return stats, reducer
 
 
+def _normalized(stats, side, matrix: np.ndarray) -> np.ndarray:
+    """`matrix`, the rows of fold side `side`, normalized by `stats`: in
+    place where `side` is a `SubsetView`, whose every read gathers a fresh
+    copy that is the fold's own, and into a new array where it is a
+    `Dataset`, whose read-only matrix is shared."""
+    return stats.apply(matrix, out=matrix if isinstance(side, SubsetView) else None)
+
+
 def _fit_fold(train, cfg: PipelineConfig):
     """`fit_fold_model` plus the normalized training matrix the reducer was
     fitted on, so `run_fold` encodes it without normalizing it again. The
-    raw rows are read once (a `SubsetView` gathers them on each read) and
-    dropped once normalized."""
+    raw rows are read once (a `SubsetView` gathers them on each read) and,
+    from a view, normalized in that one copy."""
     train_matrix = train.features
     stats = fit_normalizer(train_matrix)
-    train_matrix = stats.apply(train_matrix)
+    train_matrix = _normalized(stats, train, train_matrix)
     reducer = fit_reducer(
         cfg.reducer,
         train_matrix,
@@ -236,18 +244,13 @@ def run_fold(train, test, cfg: PipelineConfig, fitted=None) -> FoldResult:
             fitted_seconds = 0.0
         else:
             stats, reducer, fitted_seconds = fitted
-            # a view gathers its rows on each read, so they are this fold's
-            # own to normalize in place
-            train_matrix = train.features
-            train_matrix = stats.apply(
-                train_matrix, out=train_matrix if isinstance(train, SubsetView) else None
-            )
+            train_matrix = _normalized(stats, train, train.features)
         encoded_train = reducer.transform(train_matrix)
         del train_matrix  # freed before the kNN, which needs only the codes
         fit_seconds = fitted_seconds + time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        encoded_test = reducer.transform(stats.apply(test.features))
+        encoded_test = reducer.transform(_normalized(stats, test, test.features))
         encode_seconds = time.perf_counter() - t0
 
         model = KnnModel(

@@ -60,7 +60,7 @@ def jacobi_eigh(matrix: np.ndarray):
 
     The name predates LAPACK: `bench/spans.py` traces this function by name,
     so the rename waits until stage timings are recorded inside the program
-    (ROADMAP item 1).
+    (ROADMAP item 2).
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -297,6 +297,47 @@ class TestEval:
         assert f"{named} holds a comma, quote or line break" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, name, message", [
+        # `[config:x/y]` ran its whole cell, then failed on the audit path
+        ("label", "x/y", "configuration label 'x/y' holds a '/'"),
+        # `a::b` x knn was keyed `a::b::knn`, which plotdata split as `a` x `b::knn`
+        ("stem", "a::b", "file stem 'a::b' holds '::'"),
+    ], ids=["label-slash", "stem-double-colon"])
+    def test_name_an_audit_file_or_cell_key_cannot_carry_is_a_usage_error(
+        self, tmp_path, capsys, where, name, message
+    ):
+        path = tmp_path / (f"{name}.csv" if where == "stem" else "alpha.csv")
+        synth.write_csv(synth.gaussian_blobs(n_samples=40, n_classes=2, n_features=5), path)
+        ini = tmp_path / "exp.ini"
+        label = name if where == "label" else "knn"
+        ini.write_text(f"[config:{label}]\nreducer = identity\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", str(path), "--config", str(ini), "--seed", "1",
+                     "--reps", "1", "--folds", "4", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cells_sharing_an_audit_file_are_a_usage_error(self, tmp_path, capsys):
+        # a__b x c and a x b__c both wrote folds/a__b__c.csv, the second
+        # over the first
+        paths = []
+        for seed, stem in ((0, "a__b"), (1, "a")):
+            data = synth.gaussian_blobs(n_samples=40, n_classes=2, n_features=5, seed=seed)
+            paths.append(tmp_path / f"{stem}.csv")
+            synth.write_csv(data, paths[-1])
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[config:c]\nreducer = identity\n\n[config:b__c]\nreducer = identity\n",
+                       encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", str(paths[0]), "--dataset", str(paths[1]),
+                     "--config", str(ini), "--seed", "1", "--reps", "1", "--folds", "4",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cells a__b x c and a x b__c share the audit file folds/a__b__c.csv" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("where", ["flag", "file"])
     def test_non_finite_ppl_is_a_usage_error(self, blob_csvs, tmp_path, capsys, value, where):

@@ -14,6 +14,8 @@ from aeknn.dataset import (
     make_folds,
 )
 
+from memory import traced_peak
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -176,6 +178,45 @@ class TestLoadCsvErrors:
         path = write(tmp_path, "1.0,2.0,3.0,A\n4.0,x,y,B\n")
         with pytest.raises(ValueError, match=r"'x' at row 2, column 2$"):
             load_csv(path)
+
+
+    @pytest.mark.parametrize(
+        "later_row, message",
+        [
+            ("1.0,x,B", "non-numeric value 'x' at row 3, column 2"),
+            ("1.0,B", "row 3 has 2 columns, expected 3"),
+            ("1.0,2.0, ", "empty label at row 3"),
+        ],
+    )
+    def test_a_parse_error_on_a_later_row_beats_an_earlier_non_finite_cell(
+        self, tmp_path, later_row, message
+    ):
+        # non-finite cells are looked for only once every row has parsed
+        path = write(tmp_path, f"1.0,2.0,A\nnan,2.0,A\n{later_row}\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_an_earlier_bad_cell_beats_a_reader_error_on_a_later_line(self, tmp_path):
+        # rows are checked as csv.reader reads them, so the field over the
+        # reader's size limit on line 3 is never reached
+        long_field = "1" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, f"1.0,A\nx,B\n{long_field},A\n")
+        with pytest.raises(ValueError, match=r"non-numeric value 'x' at row 2, column 1$"):
+            load_csv(path)
+
+
+class TestLoadCsvMemory:
+    def test_cells_are_parsed_into_one_float64_buffer(self, tmp_path):
+        # 2000 x 150 features (2.3 MiB); a Python string per cell, kept
+        # until the file ends, once took about ten times the matrix
+        rng = np.random.default_rng(22)
+        features = rng.random((2000, 150))
+        path = write(tmp_path, "".join(
+            ",".join(map(repr, row)) + f",c{i % 3}\n" for i, row in enumerate(features.tolist())
+        ))
+        assert traced_peak(lambda: load_csv(path)) < 2 * features.nbytes + 2**20
+        assert load_csv(path).features.tobytes() == features.tobytes()
 
 
 class TestDatasetInvariants:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +7,8 @@ from scipy.spatial.distance import cdist
 
 from aeknn import knn
 from aeknn.knn import KnnModel, classify_batch, neighbors
+
+from memory import traced_peak
 
 
 def brute_force_neighbors(references, query, k):
@@ -355,13 +355,7 @@ def test_classify_batch_memory_is_bounded_at_musk_shape():
         references=rng.random((5300, 166)), labels=rng.integers(0, 2, size=5300), k=5
     )
     queries = rng.random((64, 166))
-    tracemalloc.start()
-    try:
-        classify_batch(model, queries)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert traced_peak(lambda: classify_batch(model, queries)) < 32 * 2**20
 
 
 @st.composite
@@ -504,16 +498,6 @@ class TestTreeScreenAgainstScan:
         got = batch_answers(model, queries)
         assert sorted(sources[:2]) == [(False, 100), (True, 10)]
         assert_same_answers(got, scan_answers(model, queries))
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 def test_tree_screen_memory_is_bounded_at_a_tall_narrow_shape():

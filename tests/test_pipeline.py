@@ -4,7 +4,6 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from aeknn import pipeline
 from aeknn.pipeline import PipelineConfig, fit_fold_model, run_cv, run_fold
 
 import synth
+from memory import traced_peak
 
 
 def blob_data(n=120, classes=3, features=6, seed=0):
@@ -86,9 +86,9 @@ class TestRunFold:
         applied = []
         real_apply = NormalizationStats.apply
 
-        def counting_apply(stats, matrix):
+        def counting_apply(stats, matrix, out=None):
             applied.append(np.asarray(matrix).shape[0])
-            return real_apply(stats, matrix)
+            return real_apply(stats, matrix, out=out)
 
         monkeypatch.setattr(NormalizationStats, "apply", counting_apply)
         data = blob_data(seed=5)
@@ -532,16 +532,6 @@ class TestForkedFits:
         assert_no_child_left()
 
 
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 class TestFoldMemory:
     def test_identity_fold_holds_one_normalized_copy_per_side(self):
         # 16000 x 200 training rows (24.4 MiB) and 4000 test rows (6.1 MiB)
@@ -560,6 +550,26 @@ class TestFoldMemory:
         peak = traced_peak(lambda: run_fold(data.subset(train), data.subset(test), cfg))
         row_bytes = 8 * d
         assert peak < (2 * n_train + n_test) * row_bytes + 4 * 2**20
+
+    @pytest.mark.parametrize("prefitted", [False, True])
+    def test_identity_fold_normalizes_each_side_in_its_own_gather(self, prefitted):
+        # the fold above, fitted here or (as by run_cv's fold workers)
+        # before: each side's gather is the fold's own, so it is normalized
+        # in place and the fold holds one copy per side (30.5 MiB) and the
+        # kNN scratch. A normalized copy of the training rows beside their
+        # gather (24.4 MiB), or of the test rows (6.1 MiB), breaks the bound.
+        rng = np.random.default_rng(17)
+        n_train, n_test, d = 16000, 4000, 200
+        labels = rng.integers(0, 4, size=n_train + n_test)
+        features = (rng.random((labels.size, 1)) + labels[:, None]) * rng.random((1, d))
+        data = Dataset(features=features, labels=labels, class_names=("a", "b", "c", "d"))
+        train, test = np.arange(n_train), np.arange(n_train, labels.size)
+        cfg = PipelineConfig(reducer="identity", k=5)
+        fitted = (*fit_fold_model(data.subset(train), cfg), 0.0) if prefitted else None
+        peak = traced_peak(
+            lambda: run_fold(data.subset(train), data.subset(test), cfg, fitted=fitted)
+        )
+        assert peak < (n_train + n_test) * 8 * d + 4 * 2**20
 
     def test_subset_view_gathers_the_parent_rows_without_a_copy(self):
         data = blob_data(n=2000, features=100, seed=18)
