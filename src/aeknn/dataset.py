@@ -184,7 +184,8 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
     """Load a numeric CSV with one label column into a Dataset.
 
     Args:
-        path: CSV file, comma separated, '.' decimal point, UTF-8.
+        path: CSV file, comma separated, '.' decimal point, UTF-8; a
+            leading byte-order mark is dropped.
         label_column: column index (negative allowed) or, with a header,
             a column name. Defaults to the last column.
         has_header: skip and use the first row as column names.
@@ -211,7 +212,7 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
     labels = array("q")
     lines = array("q")  # each kept row's line in the file
     class_index: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not "".join(row).strip():

@@ -18,12 +18,21 @@ selection. It takes, for each query row, a set of candidate references, and
 The candidates only propose: the exact pass ranks them, so which source a
 row takes changes only the time, never the bits. A kd-tree pays where the
 data varies along few directions (Friedman, Bentley & Finkel, 1977), which
-is the premise of reducing before classifying. It beat a full scan at every
-benchmark shape (up to 256 features), and on low-rank data at 617; the one
-loss measured was isotropic uniform data, where every direction spreads
-alike: 4800 references, 1200 queries and 617 features took 9.5-10.0 s
-against a full scan's 8.8-8.9 s (one thread). A GEMM-based screen for such
-wide, full-rank inputs is still planned.
+is the premise of reducing before classifying. Its leaves hold up to 64
+references (`_TREE_LEAF`, against scipy's default of 16): where a node
+descent cannot prune, as at tens to hundreds of features, scanning a leaf
+contiguously costs less. Tree build and query took x0.67-0.81 of leaf 16's
+time on the benchmark's 64- to 256-wide folds and x0.70-0.98 at 6-43
+features. At 1 to 3 features descents prune well and leaf 64 loses a
+little: x1.01-1.23 on 1600 to 20000 references (at most 1.2 ms a tree; a
+coil2000-shaped fold's one-wide LDA codes, 0.53 against 0.66 ms), though
+x0.85 at 200000. Leaf 128 read x1.19-1.52 there and lost at 6-43 features
+too, so the leaf is 64 and not larger. The tree beat a full scan at every
+shape measured, isotropic uniform data included, where every direction
+spreads alike and pruning fails most: 4800 references, 1200 queries and
+617 features took 1.6-1.8 s, against 3.4-3.8 s at leaf 16 and 6.2-6.7 s
+for a full scan (one thread). A GEMM-based screen for wide inputs is still
+planned.
 
 The pass computes distances from explicit differences (not the
 expanded-square identity): subtract, square, sum over the contiguous last
@@ -59,6 +68,8 @@ __all__ = ["KnnModel", "neighbors", "classify_batch"]
 _BLOCK_BYTES = 1 << 20
 # proposals per row beyond k, so that a row's k-th distance can be certified
 _TREE_EXTRA = 4
+# references per kd-tree leaf (see the module docstring)
+_TREE_LEAF = 64
 # largest coordinate magnitude the tree screen takes: d squared differences
 # of at most 2e150 sum to d * 4e300, finite below about 4e7 features
 _TREE_MAX_ABS = 1e150
@@ -99,14 +110,14 @@ class KnnModel:
     def _tree(self) -> cKDTree | None:
         """kd-tree over the references, built on first use and kept; None
         where a coordinate is past the magnitude guard, or the references
-        have no columns. There is no width rule: the tree served every
-        benchmark shape faster than a full scan, and lost only on isotropic
-        uniform data (about 1.1x slower at 4800 x 617 references), which a
-        GEMM-based screen, still planned, is meant to serve."""
+        have no columns. It serves every width, since it beat a full scan
+        on every shape measured (isotropic uniform data at 4800 x 617
+        references: 1.6-1.8 s against 6.2-6.7 s). Its leaves hold up to
+        `_TREE_LEAF` references; the size never changes the bits."""
         refs = self.references
         if not refs.size or max(refs.max(), -refs.min()) > _TREE_MAX_ABS:
             return None
-        return cKDTree(refs, copy_data=False)
+        return cKDTree(refs, leafsize=_TREE_LEAF, copy_data=False)
 
 
 def _check_queries(model: KnnModel, queries) -> np.ndarray:

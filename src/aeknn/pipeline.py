@@ -63,16 +63,17 @@ __all__ = ["PipelineConfig", "FoldResult", "CvResult", "run_fold", "run_cv"]
 
 
 @cache
-def _openblas_thread_counts() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS this process has
-    loaded, found through /proc/self/maps; empty where there is none or the
-    map cannot be read."""
+def _openblas_libraries() -> tuple:
+    """(library, symbol prefix, symbol suffix) of every OpenBLAS this
+    process has loaded, found through /proc/self/maps, so that its function
+    `name` is `getattr(library, f"{prefix}_{name}{suffix}")`; empty where
+    there is none or the map cannot be read."""
     try:
         with open("/proc/self/maps") as handle:
             paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
     except OSError:
         return ()
-    counts = []
+    libraries = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -80,11 +81,19 @@ def _openblas_thread_counts() -> tuple:
             continue
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    counts.append((get, set_))
-    return tuple(counts)
+                if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                    libraries.append((lib, prefix, suffix))
+    return tuple(libraries)
+
+
+@cache
+def _openblas_thread_counts() -> tuple:
+    """(get, set) thread-count functions of every loaded OpenBLAS."""
+    return tuple(
+        (getattr(lib, f"{prefix}_get_num_threads{suffix}"),
+         getattr(lib, f"{prefix}_set_num_threads{suffix}"))
+        for lib, prefix, suffix in _openblas_libraries()
+    )
 
 
 def _new_blas_lock() -> None:

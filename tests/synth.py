@@ -1,5 +1,6 @@
 """Deterministic synthetic datasets for the tests: well-separated Gaussian
-blobs and a noisy low-rank manifold embedded in a wider space."""
+blobs, a noisy low-rank manifold embedded in a wider space, and overlapping
+semeion-shaped classes."""
 
 from __future__ import annotations
 
@@ -71,6 +72,44 @@ def low_rank_manifold(
         features=np.clip(features, 0.0, 1.0),
         labels=labels,
         class_names=("low", "high"),
+        name=name,
+    )
+
+
+def semeion_like(
+    n_samples: int = 600,
+    n_features: int = 256,
+    n_classes: int = 10,
+    rank: int = 16,
+    seed: int = 0,
+    name: str = "semeion",
+) -> Dataset:
+    """Overlapping classes shaped like semeion (1593 x 256 x 10): Gaussian
+    clouds around class centres in a `rank`-dimensional latent space, mixed
+    into `n_features` columns, squashed into [0, 1] and noised, so plain kNN
+    scores well below 1. Three percent of the rows copy another row's
+    features under their own label, so distances tie exactly.
+
+    Only elementwise arithmetic and clipping make the features, with no
+    matrix product and no transcendental function, so the same seed gives
+    the same bytes whatever the BLAS or the CPU's SIMD extensions."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(n_classes, rank)) * 0.75
+    mixing = rng.normal(size=(rank, n_features)) / 4.0
+    labels = np.arange(n_samples) % n_classes
+    latent = centres[labels] + rng.normal(size=(n_samples, rank))
+    mixed = np.zeros((n_samples, n_features))
+    for j in range(rank):
+        mixed += latent[:, j : j + 1] * mixing[j]
+    features = 0.5 + 0.5 * mixed / (1.0 + np.abs(mixed))
+    features += rng.normal(scale=0.1, size=features.shape)
+    copies = rng.choice(n_samples, size=int(0.03 * n_samples), replace=False)
+    features[copies] = features[rng.choice(n_samples, size=len(copies))]
+    order = rng.permutation(n_samples)
+    return Dataset(
+        features=np.clip(features[order], 0.0, 1.0),
+        labels=labels[order],
+        class_names=tuple(f"d{i}" for i in range(n_classes)),
         name=name,
     )
 

@@ -73,6 +73,19 @@ class TestLoadCsv:
         path = write(tmp_path, "1,A\n2,B\n", name="segment.csv")
         assert load_csv(path).name == "segment"
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = write(tmp_path, "\ufeff1.0,2.0,A\n3.0,4.0,B\n")
+        data = load_csv(path)
+        assert data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert data.class_names == ("A", "B")
+
+    def test_leading_byte_order_mark_leaves_the_first_column_name(self, tmp_path):
+        path = write(tmp_path, "\ufeffcls,x,y\nA,1,2\nB,3,4\n")
+        data = load_csv(path, label_column="cls", has_header=True)
+        assert data.class_names == ("A", "B")
+        assert data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
 
 def per_cell_reference(path, label_idx, has_header):
     """The loader as it was before vectorizing: strip every cell, then

@@ -361,7 +361,8 @@ def test_classify_batch_memory_is_bounded_at_musk_shape():
 @st.composite
 def tree_screen_problems(draw):
     """References 1 to 33, or 64 to 617, features wide where the tree
-    screen's certificate is tested hard:
+    screen's certificate is tested hard, 1 to 40 of them (one kd-tree leaf)
+    or 65 to 400 (several leaves, so the search prunes some):
     exact ties on integer grids; permuted coordinates, whose exact distances
     to a constant query tie but whose rounded ones differ in the last bits
     with the order of summation; near-duplicates a few ulps apart, offset or
@@ -369,11 +370,13 @@ def tree_screen_problems(draw):
     the magnitude guard sends to the scan. k runs from 1 to n_ref."""
     kind = draw(st.sampled_from(["grid", "permuted", "ulp", "offset", "tiny", "huge"]))
     d = draw(st.one_of(st.integers(1, 33), st.sampled_from([64, 85, 129, 256, 617])))
-    n = draw(st.integers(1, 40))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(knn._TREE_LEAF + 1, 400)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_q = int(rng.integers(1, 8))
+    # distinct rows to repeat or perturb: 1 to 5, or up to one in 8 of many
+    n_distinct = int(rng.integers(1, max(6, n // 8)))
     if kind == "grid":
-        distinct = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(np.float64)
+        distinct = rng.integers(-2, 3, size=(n_distinct, d)).astype(np.float64)
         references = distinct[rng.integers(0, len(distinct), size=n)]
         queries = rng.integers(-2, 3, size=(n_q, d)).astype(np.float64)
     elif kind == "permuted":
@@ -387,7 +390,7 @@ def tree_screen_problems(draw):
             "tiny": draw(st.sampled_from([1e-155, 1e-158, 1e-160, 1e-200])),
             "huge": draw(st.sampled_from([2e150, 1e200, 1e300])),
         }[kind]
-        base = rng.normal(size=(int(rng.integers(1, 6)), d)) * scale
+        base = rng.normal(size=(n_distinct, d)) * scale
         if kind == "offset":
             base += 1e4
         # near-duplicates: a few ulps away from the drawn rows
@@ -399,6 +402,20 @@ def tree_screen_problems(draw):
     labels = rng.integers(0, n_classes, size=n)
     k = draw(st.one_of(st.just(n), st.integers(1, n)))
     return references, labels, n_classes, k, queries
+
+
+def leaf_of_each_reference(tree: cKDTree) -> np.ndarray:
+    """The index of the kd-tree leaf holding each reference."""
+    leaf = np.empty(tree.n, dtype=np.intp)
+    nodes, count = [tree.tree], 0
+    while nodes:
+        node = nodes.pop()
+        if node.lesser is None:
+            leaf[node.indices] = count
+            count += 1
+        else:
+            nodes += [node.lesser, node.greater]
+    return leaf
 
 
 class TestTreeScreenAgainstScan:
@@ -478,6 +495,37 @@ class TestTreeScreenAgainstScan:
             # the tree's proposals are every reference, so none falls back
             source = "tree" if k == 56 else "every"
             assert passes == [(source, (3, 60))] * 2
+
+    def test_grid_ties_certified_across_leaves_match_the_scan(self, monkeypatch):
+        # 600 references on a 7^4 integer grid: squared distances are
+        # integers, so they tie exactly and often, and duplicates occur. The
+        # tree splits them into leaves of at most _TREE_LEAF; a certified
+        # row's k + 4 proposals come from several of them, and rows whose
+        # k-th distance ties past the proposals take every reference
+        tree_cols = []
+        real_nearest = knn._nearest
+
+        def recording_nearest(model, queries, cols):
+            if cols.strides[0] != 0:
+                tree_cols.append(cols)
+            return real_nearest(model, queries, cols)
+
+        monkeypatch.setattr(knn, "_nearest", recording_nearest)
+        rng = np.random.default_rng(23)
+        references = rng.integers(-3, 4, size=(600, 4)).astype(np.float64)
+        queries = rng.integers(-3, 4, size=(60, 4)).astype(np.float64)
+        labels = rng.integers(0, 3, size=600)
+        for k in (1, 5, 20):
+            model = KnnModel(references=references, labels=labels, k=k)
+            leaf = leaf_of_each_reference(model._tree)
+            assert leaf.max() + 1 >= 600 // knn._TREE_LEAF
+            tree_cols.clear()
+            got = batch_answers(model, queries)
+            assert_same_answers(got, scan_answers(model, queries))
+            # both entry points certified some rows, not all
+            assert len(tree_cols) == 2
+            assert 0 < len(tree_cols[0]) < len(queries)
+            assert max(len(set(leaf[row])) for row in tree_cols[0]) >= 3
 
     def test_batch_mixing_both_sources_matches_the_scan(self, monkeypatch):
         # 40 equal references tie for the queries at their point, which take
