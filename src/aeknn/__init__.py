@@ -15,8 +15,8 @@ from .autoencoder import (
 from .dataset import Dataset, FoldPlan, NormalizationStats, load_csv, make_folds
 from .knn import KnnModel, classify_batch, neighbors
 from .metrics import ConfusionMatrix, accuracy, auc, f_score, roc_auc_binary
-from .pipeline import CvResult, FoldResult, PipelineConfig, run_cv, run_fold
-from .reducers import Reducer, fit_lda, fit_pca, fit_reducer
+from .pipeline import CvResult, FoldResult, PipelineConfig, fit_reducer, run_cv, run_fold
+from .reducers import Reducer, fit_lda, fit_pca
 from .stats import ResultMatrix, TestReport, chi_square_sf, friedman, wilcoxon_signed_rank
 
 __all__ = [

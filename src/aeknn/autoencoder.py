@@ -146,8 +146,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(
+                f"learning_rate must be non-negative and finite, got {self.learning_rate}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def layer_size(n_features: int, fraction: float) -> int:

@@ -156,14 +156,17 @@ _INI_KEYS = {
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    """The experiment file, read once; a section other than [defaults] and
-    [config:<label>], or a key its section cannot hold, is an error naming
-    it and the file."""
+    """The experiment file, read once; a file configparser cannot parse, a
+    section other than [defaults] and [config:<label>], or a key its section
+    cannot hold, is an error naming it and the file."""
     # no header can name an empty section, so [DEFAULT] is a section like
     # any other here, not configparser's one shared by all
     ini = configparser.ConfigParser(default_section="")
-    if not ini.read(path):
-        raise ValueError(f"cannot read experiment file {path}")
+    try:  # utf-8-sig drops a leading byte-order mark, as `load_csv` does
+        if not ini.read(path, encoding="utf-8-sig"):
+            raise ValueError(f"cannot read experiment file {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for section in ini.sections():
         kind = "config" if section.startswith("config:") else section
         if kind not in _INI_KEYS:
@@ -217,10 +220,15 @@ def _resolve_spec(args) -> ExperimentSpec:
     k = pick(args.k, "k", 5)
     reps = pick(args.reps, "reps", 2)
     folds = pick(args.folds, "folds", 5)
+    learning_rate = pick(args.lr, "lr", 0.01, parse=float)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValueError(f"--lr must be non-negative and finite, got {learning_rate}")
     train_cfg = TrainConfig(
         epochs=pick(args.epochs, "epochs", 50),
         batch_size=pick(args.batch_size, "batch_size", 32),
-        learning_rate=pick(args.lr, "lr", 0.01, parse=float),
+        learning_rate=learning_rate,
         seed=args.seed,
     )
     datasets = list(args.dataset) or [

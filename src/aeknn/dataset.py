@@ -203,7 +203,8 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
     they are read, an earlier bad cell is reported before a `csv.reader`
     error on a later line (say a field longer than
     `csv.field_size_limit()`). Non-finite values are looked for only after
-    the last row, so a parse error on any row is reported before them.
+    the last row, in the one scan `Dataset` makes, so a parse error on any
+    row is reported before them, and they before a single class.
     """
     path = str(path)
     header: list[str] | None = None
@@ -243,24 +244,28 @@ def load_csv(path, label_column=None, has_header: bool = False, name: str | None
         raise ValueError(f"{path}: empty file")
 
     features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
-    non_finite = np.argwhere(~np.isfinite(features))
-    if non_finite.size:
-        i, j = non_finite[0]
-        raise ValueError(
-            f"{path}: non-finite value at row {lines[i]}, column {_file_column(j, label_idx)}"
-        )
-
-    if len(class_index) < 2:
-        raise ValueError(f"{path}: single-class dataset, classification is degenerate")
     if name is None:
         stem = path.rsplit("/", 1)[-1]
         name = stem.rsplit(".", 1)[0] if "." in stem else stem
-    return Dataset(
-        features=features,
-        labels=np.frombuffer(labels, dtype=np.int64),
-        class_names=tuple(class_index),
-        name=name,
-    )
+    try:  # `Dataset` makes the one scan for non-finite values a load needs
+        return Dataset(
+            features=features,
+            labels=np.frombuffer(labels, dtype=np.int64),
+            class_names=tuple(class_index),
+            name=name,
+        )
+    except ValueError:  # located here, non-finite cells first, as `Dataset` checks
+        non_finite = np.argwhere(~np.isfinite(features))
+        if non_finite.size:
+            i, j = non_finite[0]
+            raise ValueError(
+                f"{path}: non-finite value at row {lines[i]}, column {_file_column(j, label_idx)}"
+            ) from None
+        if len(class_index) < 2:
+            raise ValueError(
+                f"{path}: single-class dataset, classification is degenerate"
+            ) from None
+        raise
 
 
 def _label_index(path: str, label_column, header: list[str] | None, width: int) -> int:

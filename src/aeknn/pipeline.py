@@ -53,13 +53,13 @@ from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
-from .autoencoder import TrainConfig
+from .autoencoder import TrainConfig, build_stack, layer_size
 from .dataset import Dataset, FoldPlan, SubsetView, fit_normalizer
 from .knn import KnnModel, classify_batch
 from .metrics import ConfusionMatrix, accuracy, auc, f_score
-from .reducers import fit_reducer
+from .reducers import AeReducer, IdentityReducer, Reducer, fit_lda, fit_pca
 
-__all__ = ["PipelineConfig", "FoldResult", "CvResult", "run_fold", "run_cv"]
+__all__ = ["PipelineConfig", "FoldResult", "CvResult", "fit_reducer", "run_fold", "run_cv"]
 
 
 @cache
@@ -125,7 +125,8 @@ def _one_blas_thread():
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One classifier configuration.
+    """One classifier configuration, checked here once: `fit_reducer`
+    trusts it.
 
     reducer: "ae", "pca", "lda" or "identity". The autoencoder layer layout
     comes from `ppl`; pca/lda take `target_dim` directly or derive it from a
@@ -191,6 +192,23 @@ class FoldResult:
         return self.encode_seconds + self.classify_seconds
 
 
+def fit_reducer(cfg: PipelineConfig, train: np.ndarray, labels) -> Reducer:
+    """Fit `cfg`'s reducer on the normalized training rows `train`, whose
+    class indices `labels` LDA reads. PCA and LDA keep `cfg.target_dim`
+    directions, or `layer_size(d, cfg.ppl[0])` where it is unset; PCA at
+    most d. `cfg` was checked when it was made, so nothing is checked here."""
+    train = np.asarray(train, dtype=np.float64)
+    d = train.shape[1]
+    if cfg.reducer == "identity":
+        return IdentityReducer(d)
+    if cfg.reducer == "ae":
+        return AeReducer(cfg.ppl, build_stack(train, cfg.ppl, cfg.train_cfg))
+    dim = cfg.target_dim if cfg.target_dim is not None else layer_size(d, cfg.ppl[0])
+    if cfg.reducer == "pca":
+        return fit_pca(train, min(dim, d))
+    return fit_lda(train, labels, dim)
+
+
 def fit_fold_model(train: Dataset | "object", cfg: PipelineConfig):
     """Fit everything the training fold determines: normalization stats and
     the reducer. Exposed separately so leak-freedom is checkable: the test
@@ -216,15 +234,7 @@ def _fit_fold(train, cfg: PipelineConfig):
     train_matrix = train.features
     stats = fit_normalizer(train_matrix)
     train_matrix = _normalized(stats, train, train_matrix)
-    reducer = fit_reducer(
-        cfg.reducer,
-        train_matrix,
-        labels=train.labels,
-        target_dim=cfg.target_dim,
-        ppl=cfg.ppl if cfg.reducer != "identity" else None,
-        train_cfg=cfg.train_cfg,
-    )
-    return stats, reducer, train_matrix
+    return stats, fit_reducer(cfg, train_matrix, train.labels), train_matrix
 
 
 def run_fold(train, test, cfg: PipelineConfig, fitted=None) -> FoldResult:

@@ -3,8 +3,8 @@
 Four kinds: the trained autoencoder stack, principal-component projection,
 linear discriminant projection and the identity (the plain-kNN baseline).
 Each is a frozen dataclass that exists only once fitted: `fit_pca`,
-`fit_lda` and `fit_reducer` build them, and every later step reads only
-`transform` and `effective_dim`.
+`fit_lda` and `pipeline.fit_reducer` build them, and every later step reads
+only `transform` and `effective_dim`.
 
 PCA and LDA are solved with LAPACK's symmetric eigensolver (`np.linalg.eigh`).
 Seeded fits repeat bitwise on one machine and BLAS build; across machines or
@@ -24,15 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autoencoder import (
-    ActivationKind,
-    AutoencoderStack,
-    EncoderLayer,
-    TrainConfig,
-    build_stack,
-    encode,
-    layer_size,
-)
+from .autoencoder import ActivationKind, AutoencoderStack, EncoderLayer, encode
 
 __all__ = [
     "jacobi_eigh",
@@ -43,7 +35,6 @@ __all__ = [
     "PcaReducer",
     "LdaReducer",
     "AeReducer",
-    "fit_reducer",
     "save_reducer",
     "load_reducer",
 ]
@@ -232,45 +223,6 @@ class AeReducer:
 
 
 Reducer = IdentityReducer | PcaReducer | LdaReducer | AeReducer
-
-
-def fit_reducer(
-    kind: str,
-    train: np.ndarray,
-    labels=None,
-    target_dim: int | None = None,
-    ppl=None,
-    train_cfg: TrainConfig | None = None,
-) -> Reducer:
-    """Fit a reducer of the named kind ("identity", "ae", "pca" or "lda").
-
-    For "pca"/"lda" the target dimension may be given directly or derived
-    from a single-entry `ppl` fraction of the feature count. The "ae" layer
-    layout comes from `ppl`; `target_dim` does not apply to it.
-    """
-    train = np.asarray(train, dtype=np.float64)
-    if kind == "identity":
-        return IdentityReducer(train.shape[1])
-    if kind == "ae":
-        if ppl is None:
-            raise ValueError("the autoencoder reducer needs a ppl layer spec")
-        ppl = tuple(float(f) for f in ppl)
-        cfg = train_cfg if train_cfg is not None else TrainConfig()
-        return AeReducer(ppl=ppl, stack=build_stack(train, ppl, cfg))
-    if kind in ("pca", "lda"):
-        if target_dim is None:
-            if ppl is None:
-                raise ValueError(f"{kind} needs target_dim or a ppl fraction")
-            fractions = tuple(float(f) for f in ppl)
-            if len(fractions) != 1:
-                raise ValueError(f"{kind} takes a single fraction, got {fractions}")
-            target_dim = layer_size(train.shape[1], fractions[0])
-        if kind == "pca":
-            return fit_pca(train, min(target_dim, train.shape[1]))
-        if labels is None:
-            raise ValueError("LDA requires labels")
-        return fit_lda(train, labels, target_dim)
-    raise ValueError(f"unknown reducer kind {kind!r}")
 
 
 _REDUCER_FORMAT_VERSION = 1

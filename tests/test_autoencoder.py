@@ -369,6 +369,17 @@ class TestTrainLayer:
         with pytest.raises(ValueError):
             train_layer(np.zeros((0, 4)), 2, TrainConfig())
 
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, -0.5])
+    def test_config_rejects_a_negative_or_non_finite_learning_rate(self, rate):
+        # an infinite rate once diverged at the first batch of every fold
+        with pytest.raises(ValueError, match="learning_rate must be non-negative and finite"):
+            TrainConfig(learning_rate=rate)
+
+    def test_config_rejects_a_negative_seed(self):
+        # which numpy's generators refuse only when a fold is fitted
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
     @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.RELU])
     def test_one_full_batch_epoch_is_one_checked_gradient_step(self, hidden):
         # training takes exactly the step `loss_and_gradients` computes,

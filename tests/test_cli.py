@@ -225,6 +225,35 @@ class TestEval:
         assert f"{ini}: unknown section [{section}]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", [
+        "k = 5\n",
+        "[defaults]\nk\n",
+        "[config:a]\nreducer = identity\n\n[config:a]\nreducer = pca\n",
+    ], ids=["no-section-header", "no-delimiter", "duplicate-section"])
+    def test_malformed_experiment_file_is_a_usage_error(
+        self, blob_csvs, tmp_path, capsys, body
+    ):
+        # configparser's own errors once ended the run in a traceback
+        ini = tmp_path / "bad.ini"
+        ini.write_text(body, encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", blob_csvs[0], "--config", str(ini), "--seed", "1",
+                     "--reps", "1", "--folds", "4", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {ini}: ")
+        assert not out.exists()
+
+    def test_experiment_file_byte_order_mark_is_dropped(self, blob_csvs, tmp_path):
+        # as a spreadsheet or Windows editor saves UTF-8; once read as part
+        # of the first section header, which then failed to parse
+        ini = tmp_path / "bom.ini"
+        ini.write_text("\ufeff[config:knn]\nreducer = identity\n", encoding="utf-8")
+        out = tmp_path / "x"
+        code = main(["eval", "--dataset", blob_csvs[0], "--config", str(ini), "--seed", "1",
+                     "--reps", "1", "--folds", "4", "--out", str(out)])
+        assert code == 0
+        assert read_csv(out / "accuracy.csv")[0] == ["dataset", "knn"]
+
     def test_target_dim_for_an_autoencoder_is_a_usage_error(self, blob_csvs, tmp_path, capsys):
         ini = tmp_path / "ae.ini"
         ini.write_text("[config:ae]\nreducer = ae\ntarget_dim = 10\n", encoding="utf-8")
@@ -239,10 +268,13 @@ class TestEval:
         ("--jobs", "0"), ("--jobs", "-3"),
         ("--positive-class", "-1"), ("--positive-class", "2"), ("--positive-class", "5"),
         ("--reps", "0"), ("--reps", "-1"), ("--folds", "1"), ("--folds", "0"),
+        ("--seed", "-1"), ("--lr", "inf"),
     ])
     def test_out_of_range_flag_is_a_usage_error(self, blob_csvs, tmp_path, capsys, flag, value):
         # `--jobs 0` once ran one job; `--positive-class -1` scored class 1
-        # or failed, and 5 failed every two-class cell with an IndexError.
+        # or failed, and 5 failed every two-class cell with an IndexError;
+        # `--seed -1` and `--lr inf` failed every cell after writing the
+        # output directory.
         # The flag under test comes last, since argparse keeps the last value.
         out = tmp_path / "x"
         code = main(["eval", "--dataset", blob_csvs[0], "--reducer", "identity",

@@ -210,6 +210,11 @@ class TestLoadCsvErrors:
             load_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_a_non_finite_cell_beats_a_single_class(self, tmp_path):
+        path = write(tmp_path, "1.0,A\n2.0,A\ninf,A\n")
+        with pytest.raises(ValueError, match=r"non-finite value at row 3, column 1$"):
+            load_csv(path)
+
     def test_an_earlier_bad_cell_beats_a_reader_error_on_a_later_line(self, tmp_path):
         # rows are checked as csv.reader reads them, so the field over the
         # reader's size limit on line 3 is never reached
@@ -230,6 +235,20 @@ class TestLoadCsvMemory:
         ))
         assert traced_peak(lambda: load_csv(path)) < 2 * features.nbytes + 2**20
         assert load_csv(path).features.tobytes() == features.tobytes()
+
+    def test_the_matrix_is_scanned_for_non_finite_values_once(self, tmp_path, monkeypatch):
+        # `load_csv` and `Dataset` once each scanned it, each pass with an
+        # n x d boolean temporary
+        path = write(tmp_path, "".join(f"{i}.5,{i % 7}.25,c{i % 3}\n" for i in range(40)))
+        sizes = []
+
+        def isfinite(x, *args, real=np.isfinite, **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        assert load_csv(path).features.shape == (40, 2)
+        assert sizes.count(40 * 2) == 1
 
 
 class TestDatasetInvariants:

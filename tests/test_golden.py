@@ -3,24 +3,33 @@ the next by the sha256s in `golden.json`.
 
 Fingerprinted runs, all on data from `synth.py`:
 
-- `run_cv` of identity kNN, PCA, LDA and a one-layer autoencoder on a
-  600-row semeion-shaped set over a 2 x 5 plan, at `workers` 1 and 2
-  (which must give one hash): every fold's predictions, vote fractions and
-  test indices, then the three metric means;
+- `run_cv` of identity kNN, PCA, LDA, a one-layer autoencoder and the
+  stacked `ae_1.5-0.25-1.5` on a 600-row semeion-shaped set over a 2 x 5
+  plan, at `workers` 1 and 2 (which must give one hash): every fold's
+  predictions, vote fractions and test indices, then the three metric
+  means;
 - the codes of the first fold's test rows under the normalizer and reducer
-  `fit_fold_model` fits on its training rows, for each of those four: the
+  `fit_fold_model` fits on its training rows, for each of those five: the
   run's predictions and scores are decisions, which a change in the last
   bits of a weight seldom flips, but the codes show it;
+- `save_reducer`'s file of each of those five reducers (`np.savez` stamps
+  its zip members 1980-01-01, so the bytes are stable);
 - one `aeknn eval` run over a four-class set of 0/1 pixels and a two-class
   set: the accuracy, fscore and auc matrices, every audit CSV and each plan
-  sidecar, file by file (the time matrix and the manifest hold timings).
+  sidecar, file by file (the time matrix and the manifest hold timings);
+- two `aeknn stats` reports on bundled tables, as written by `--out`: a
+  Friedman test of `ppl_sweep_accuracy` and Wilcoxon tests of every
+  `knn_comparison_time` column against `knn`.
 
 Identity kNN, the plans and the metrics call no BLAS and no transcendental
 function, so their hashes are compared on any machine. PCA, LDA and the
 autoencoder depend on the numpy build, its SIMD dispatch targets (the
 sigmoid's `exp` has CPU-specific kernels) and the BLAS and its core; their
-hashes are compared only where those recorded facts match this machine's,
-and are skipped, naming the fact that differs, elsewhere.
+hashes, and the reducer files numpy writes, are compared only where those
+recorded facts match this machine's, and are skipped, naming the fact that
+differs, elsewhere. The stats reports take their p-values from scipy's
+special functions, so they are compared only where the scipy version
+matches.
 
 A change that moves bytes by design regenerates the file,
 
@@ -32,17 +41,22 @@ and names every hash that moved, with the reason.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from aeknn.autoencoder import TrainConfig
 from aeknn.cli import main
 from aeknn.dataset import Dataset, make_folds
 from aeknn.pipeline import PipelineConfig, _openblas_libraries, fit_fold_model, run_cv
+from aeknn.reducers import save_reducer
+from aeknn.tables import reference_path
 
 import synth
 
@@ -53,7 +67,14 @@ RUN_CV = {
     "pca_0.5": PipelineConfig(reducer="pca", ppl=(0.5,)),
     "lda_0.5": PipelineConfig(reducer="lda", ppl=(0.5,)),
     "ae_0.25": PipelineConfig(reducer="ae", ppl=(0.25,), train_cfg=AE_TRAIN),
+    "ae_1.5-0.25-1.5": PipelineConfig(reducer="ae", ppl=(1.5, 0.25, 1.5), train_cfg=AE_TRAIN),
 }
+STATS = {  # report -> the bundled table `aeknn stats` reads, and its test
+    "friedman_ppl_sweep_accuracy": ("ppl_sweep_accuracy", ["--test", "friedman"]),
+    "wilcoxon_knn_comparison_time": ("knn_comparison_time",
+                                     ["--test", "wilcoxon", "--baseline", "knn"]),
+}
+FLOAT_FACTS = ("numpy", "simd", "blas")
 EVAL_INI = (
     "[defaults]\nepochs = 3\nlr = 1.0\n\n"
     "[config:knn]\nreducer = identity\n\n"
@@ -66,7 +87,8 @@ EVAL_INI = (
 def machine_facts() -> dict:
     """What the floating-point results of PCA, LDA and the autoencoder
     depend on: the numpy version and SIMD dispatch targets, and the BLAS
-    numpy was built with and the core it runs on."""
+    numpy was built with and the core it runs on; and the scipy version,
+    which the stats reports' p-values depend on."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
@@ -74,6 +96,7 @@ def machine_facts() -> dict:
         "simd": config["SIMD Extensions"],
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
                  "core": _openblas_core()},
+        "scipy": scipy.__version__,
     }
 
 
@@ -107,12 +130,35 @@ def run_cv_hash(label: str, workers: int) -> str:
     return digest.hexdigest()
 
 
-def codes_hash(label: str) -> str:
+@functools.cache
+def first_fold_fit(label: str):
+    """The reducer `fit_fold_model` fits on the first fold's training rows,
+    and that fold's test rows under the normalizer it fits with it; cached,
+    so the codes and the reducer file share one fit."""
     data, plan = semeion_run()
     _, _, train_idx, test_idx = next(plan.iter_splits())
     stats, reducer = fit_fold_model(data.subset(train_idx), RUN_CV[label])
-    codes = reducer.transform(stats.apply(data.subset(test_idx).features))
+    return reducer, stats.apply(data.subset(test_idx).features)
+
+
+def codes_hash(label: str) -> str:
+    reducer, test_rows = first_fold_fit(label)
+    codes = reducer.transform(test_rows)
     return hashlib.sha256(np.asarray(codes, dtype="<f8").tobytes()).hexdigest()
+
+
+def reducer_file_hash(label: str) -> str:
+    reducer, _ = first_fold_fit(label)
+    file = io.BytesIO()
+    save_reducer(reducer, file)
+    return hashlib.sha256(file.getvalue()).hexdigest()
+
+
+def stats_hash(name: str, out: Path) -> str:
+    """sha256 of the `--out` report of the `aeknn stats` run `STATS[name]`."""
+    table, test = STATS[name]
+    assert main(["stats", "--matrix", str(reference_path(table)), *test, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def eval_hashes(out: Path) -> dict[str, str]:
@@ -150,14 +196,18 @@ def portable(name: str) -> bool:
     return name == "knn" or name.endswith(("__knn.csv", ".plan"))
 
 
-def skip_unless_same_machine(name: str) -> None:
-    if portable(name):
-        return
+def skip_unless_recorded(*facts: str) -> None:
+    """Skip where one of `facts` differs from golden.json's, naming it."""
     recorded, here = GOLDEN["facts"], machine_facts()
-    for fact in ("numpy", "simd", "blas"):
+    for fact in facts:
         if recorded[fact] != here[fact]:
             pytest.skip(f"{fact} differs from golden.json's: {here[fact]} here, "
                         f"{recorded[fact]} recorded")
+
+
+def skip_unless_same_machine(name: str) -> None:
+    if not portable(name):
+        skip_unless_recorded(*FLOAT_FACTS)
 
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -174,6 +224,19 @@ def test_run_cv_bytes(label, workers):
 def test_codes_bytes(label):
     skip_unless_same_machine(label)
     assert codes_hash(label) == GOLDEN["codes"][label]
+
+
+@pytest.mark.parametrize("label", list(RUN_CV))
+def test_reducer_file_bytes(label):
+    # numpy writes the file, so even the identity's bytes need its version
+    skip_unless_recorded(*FLOAT_FACTS)
+    assert reducer_file_hash(label) == GOLDEN["reducer_file"][label]
+
+
+@pytest.mark.parametrize("name", list(STATS))
+def test_stats_report_bytes(name, tmp_path):
+    skip_unless_recorded("scipy")
+    assert stats_hash(name, tmp_path / "report.csv") == GOLDEN["stats"][name]
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +263,9 @@ if __name__ == "__main__":
             "facts": machine_facts(),
             "run_cv": {label: run_cv_hash(label, 1) for label in RUN_CV},
             "codes": {label: codes_hash(label) for label in RUN_CV},
+            "reducer_file": {label: reducer_file_hash(label) for label in RUN_CV},
             "eval": eval_hashes(Path(tmp) / "eval"),
+            "stats": {name: stats_hash(name, Path(tmp) / f"{name}.csv") for name in STATS},
         }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")

@@ -8,6 +8,7 @@ import scipy.linalg
 
 import aeknn
 from aeknn.autoencoder import TrainConfig
+from aeknn.pipeline import PipelineConfig, fit_reducer
 from aeknn.reducers import (
     AeReducer,
     IdentityReducer,
@@ -15,7 +16,6 @@ from aeknn.reducers import (
     PcaReducer,
     fit_lda,
     fit_pca,
-    fit_reducer,
     jacobi_eigh,
     load_reducer,
     save_reducer,
@@ -263,11 +263,16 @@ class TestLdaOracle:
             assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(s_b @ v)
 
 
+def fit(reducer, train, labels=None, **fields):
+    """`fit_reducer` of the `PipelineConfig` made of `reducer` and `fields`."""
+    return fit_reducer(PipelineConfig(reducer=reducer, **fields), train, labels)
+
+
 class TestFitReducer:
     def test_identity_is_identity(self):
         rng = np.random.default_rng(7)
         train = rng.normal(size=(10, 4))
-        reducer = fit_reducer("identity", train)
+        reducer = fit("identity", train)
         probe = rng.normal(size=(3, 4))
         assert np.array_equal(reducer.transform(probe), probe)
         assert reducer.effective_dim == 4
@@ -275,37 +280,36 @@ class TestFitReducer:
     def test_ae_half_of_128_features(self):
         rng = np.random.default_rng(8)
         train = rng.uniform(size=(30, 128))
-        reducer = fit_reducer(
-            "ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=0)
-        )
+        reducer = fit("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=0))
         assert reducer.effective_dim == 64
         assert reducer.transform(train).shape == (30, 64)
 
     def test_lda_cap_on_binary_data(self):
         train, labels = two_blobs()
-        reducer = fit_reducer("lda", train, labels=labels, target_dim=64)
+        reducer = fit("lda", train, labels, target_dim=64)
         assert reducer.effective_dim == 1
 
-    def test_pca_dim_from_fraction(self):
+    @pytest.mark.parametrize("fields, width", [
+        ({"ppl": (0.75,)}, 14),
+        # wider than the input: PCA keeps every one of the 19 directions
+        ({"ppl": (1.5,)}, 19),
+        ({"target_dim": 40}, 19),
+    ], ids=["ppl-0.75", "ppl-1.5", "target_dim-40"])
+    def test_pca_dim_from_fraction(self, fields, width):
         rng = np.random.default_rng(9)
-        reducer = fit_reducer("pca", rng.normal(size=(20, 19)), ppl=(0.75,))
-        assert reducer.effective_dim == 14
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            fit_reducer("umap", np.zeros((4, 2)))
+        reducer = fit("pca", rng.normal(size=(20, 19)), **fields)
+        assert reducer.effective_dim == width
 
     def test_row_and_column_contract(self):
         rng = np.random.default_rng(10)
         train = rng.uniform(size=(25, 10))
         labels = np.repeat([0, 1, 2, 3, 4], 5)
-        for kind, kwargs in [
-            ("identity", {}),
-            ("pca", {"target_dim": 4}),
-            ("lda", {"labels": labels, "target_dim": 4}),
-            ("ae", {"ppl": (0.4,), "train_cfg": TrainConfig(epochs=1, seed=0)}),
+        for reducer in [
+            fit("identity", train),
+            fit("pca", train, target_dim=4),
+            fit("lda", train, labels, target_dim=4),
+            fit("ae", train, ppl=(0.4,), train_cfg=TrainConfig(epochs=1, seed=0)),
         ]:
-            reducer = fit_reducer(kind, train, **kwargs)
             out = reducer.transform(train)
             assert out.shape == (25, reducer.effective_dim)
 
@@ -313,10 +317,10 @@ class TestFitReducer:
         train = np.random.default_rng(11).uniform(size=(24, 4))
         labels = np.repeat([0, 1, 2], 8)
         for reducer in [
-            fit_reducer("identity", train),
-            fit_reducer("pca", train, target_dim=2),
-            fit_reducer("lda", train, labels=labels, target_dim=2),
-            fit_reducer("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=0)),
+            fit("identity", train),
+            fit("pca", train, target_dim=2),
+            fit("lda", train, labels, target_dim=2),
+            fit("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=0)),
         ]:
             with pytest.raises(ValueError, match=r"^input has shape \(4,\), expected \(\*, 4\)$"):
                 reducer.transform(train[0])
@@ -329,10 +333,10 @@ def one_of_each_kind(train):
     """Identity, PCA, LDA and AE reducers fitted on a 24 x 6 matrix."""
     labels = np.repeat([0, 1, 2], 8)
     return [
-        fit_reducer("identity", train),
-        fit_reducer("pca", train, target_dim=3),
-        fit_reducer("lda", train, labels=labels, target_dim=2),
-        fit_reducer("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=3)),
+        fit("identity", train),
+        fit("pca", train, target_dim=3),
+        fit("lda", train, labels, target_dim=2),
+        fit("ae", train, ppl=(0.5,), train_cfg=TrainConfig(epochs=1, seed=3)),
     ]
 
 
@@ -363,9 +367,7 @@ class TestSerialization:
 
     def test_two_layer_ae_round_trip_is_exact(self, tmp_path):
         data = np.random.default_rng(3).uniform(size=(20, 7))
-        reducer = fit_reducer(
-            "ae", data, ppl=(0.75, 0.5), train_cfg=TrainConfig(epochs=2, seed=5)
-        )
+        reducer = fit("ae", data, ppl=(0.75, 0.5), train_cfg=TrainConfig(epochs=2, seed=5))
         path = tmp_path / "ae.npz"
         save_reducer(reducer, path)
         loaded = load_reducer(path)
