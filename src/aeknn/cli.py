@@ -323,7 +323,8 @@ def _run_cell(
 ) -> dict:
     """One (dataset, configuration) cell on its dataset's shared parse and
     fold plan: its audit CSV is written at once, and its manifest entry
-    returned."""
+    returned. An autoencoder's entry holds `final_loss`, each layer's
+    last-epoch training loss averaged over the folds."""
     result = run_cv(data, plan, cfg, positive=spec.positive, workers=spec.jobs)
     audit = ["repetition,fold,row_id,true_label,predicted_label," + ",".join(
         f"score_{c}" for c in data.class_names
@@ -338,7 +339,7 @@ def _run_cell(
                 f"{rep},{fold_idx},{row_id},{true},{predicted}," + ",".join(map(repr, scores))
             )
     _atomic_write(audit_path, "\n".join(audit) + "\n")
-    return {
+    entry = {
         "status": "ok",
         "metrics": {
             "accuracy": result.accuracy,
@@ -350,6 +351,10 @@ def _run_cell(
         "fold_workers": result.fold_workers,
         "fold_plan_fingerprint": plan.fingerprint(),
     }
+    if cfg.reducer == "ae":
+        losses = [fold.final_losses for fold in result.fold_results]
+        entry["final_loss"] = np.mean(losses, axis=0).tolist()
+    return entry
 
 
 def _matrix_csv(datasets, labels, cells, metric) -> str:

@@ -169,7 +169,9 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class FoldResult:
-    """Predictions and scores for one test fold, with wall-clock timings."""
+    """Predictions and scores for one test fold, with wall-clock timings and,
+    for an autoencoder, each layer's last-epoch training loss (empty for
+    every other reducer)."""
 
     predictions: np.ndarray
     true_labels: np.ndarray
@@ -180,6 +182,7 @@ class FoldResult:
     fit_seconds: float
     encode_seconds: float
     classify_seconds: float
+    final_losses: tuple[float, ...]
 
     def __post_init__(self):
         if self.predictions.shape != self.true_labels.shape:
@@ -293,6 +296,10 @@ def run_fold(train, test, cfg: PipelineConfig, fitted=None) -> FoldResult:
         fit_seconds=fit_seconds,
         encode_seconds=encode_seconds,
         classify_seconds=classify_seconds,
+        final_losses=(
+            tuple(losses[-1] for losses in reducer.stack.loss_histories)
+            if isinstance(reducer, AeReducer) else ()
+        ),
     )
 
 

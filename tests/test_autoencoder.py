@@ -136,15 +136,25 @@ class TestActivationsInPlace:
         assert same_bits(out, (y > 0).astype(np.float64))
 
 
-def manual_layer(w_enc, b_enc, w_dec, b_dec, hidden=ActivationKind.SIGMOID, out=ActivationKind.SIGMOID):
+PARAMS = ("w_enc", "b_enc", "w_dec", "b_dec")
+
+
+def manual_layer(w_enc, b_enc, w_dec, b_dec, hidden=ActivationKind.SIGMOID, out=ActivationKind.SIGMOID,
+                 dtype=np.float64):
     return LayerParams(
-        w_enc=np.asarray(w_enc, float),
-        b_enc=np.asarray(b_enc, float),
-        w_dec=np.asarray(w_dec, float),
-        b_dec=np.asarray(b_dec, float),
+        w_enc=np.asarray(w_enc, dtype),
+        b_enc=np.asarray(b_enc, dtype),
+        w_dec=np.asarray(w_dec, dtype),
+        b_dec=np.asarray(b_dec, dtype),
         act_hidden=hidden,
         act_out=out,
     )
+
+
+def float32_layer(layer):
+    """`layer` as `train_layer` trains it: its parameters rounded to float32."""
+    return manual_layer(*(getattr(layer, name) for name in PARAMS),
+                        hidden=layer.act_hidden, out=layer.act_out, dtype=np.float32)
 
 
 def encoder_stack(layer):
@@ -337,11 +347,10 @@ class TestTrainLayer:
         data = rng.uniform(size=(30, 5))
         cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.0, seed=9)
         params, _ = train_layer(data, 3, cfg)
-        init = init_layer(5, 3, np.random.default_rng(9))
-        assert np.array_equal(params.w_enc, init.w_enc)
-        assert np.array_equal(params.b_enc, init.b_enc)
-        assert np.array_equal(params.w_dec, init.w_dec)
-        assert np.array_equal(params.b_dec, init.b_dec)
+        # the initialization, rounded to float32 for training and back
+        init = float32_layer(init_layer(5, 3, np.random.default_rng(9)))
+        for name in PARAMS:
+            assert same_bits(getattr(params, name), getattr(init, name).astype(np.float64)), name
 
     def test_rank3_loss_at_least_halves(self):
         data = rank3_benchmark(n=800)
@@ -350,10 +359,11 @@ class TestTrainLayer:
         assert history[-1] <= 0.5 * history[0]
 
     def test_non_finite_loss_reported_with_location(self):
-        # data far outside any sane range overflows the first loss evaluation,
-        # which must be caught and located rather than propagated as inf/nan
+        # data far outside any sane range, though within float32's, overflows
+        # the first loss evaluation (its squares pass 3.4e38), which must be
+        # caught and located rather than propagated as inf/nan
         rng = np.random.default_rng(0)
-        data = rng.uniform(1e200, 2e200, size=(64, 4))
+        data = rng.uniform(1e30, 2e30, size=(64, 4))
         cfg = TrainConfig(
             epochs=5,
             batch_size=16,
@@ -380,6 +390,20 @@ class TestTrainLayer:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("batch_size", 8.5), ("seed", 1.5), ("epochs", 3.0),
+        ("batch_size", True), ("seed", False), ("epochs", "3"),
+    ])
+    def test_config_rejects_a_count_that_is_not_an_integer(self, name, value):
+        # a float count once failed only inside a fold worker, as a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{name: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(3))
+        params, history = train_layer(np.random.default_rng(0).uniform(size=(10, 3)), 2, cfg)
+        assert len(history) == 2
+
     @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.RELU])
     def test_one_full_batch_epoch_is_one_checked_gradient_step(self, hidden):
         # training takes exactly the step `loss_and_gradients` computes,
@@ -395,11 +419,14 @@ class TestTrainLayer:
             act_out=ActivationKind.SIGMOID,
         )
         params, _ = train_layer(data, 3, cfg)
-        init = init_layer(5, 3, np.random.default_rng(3), hidden, ActivationKind.SIGMOID)
+        init = float32_layer(
+            init_layer(5, 3, np.random.default_rng(3), hidden, ActivationKind.SIGMOID)
+        )
         _, grads = loss_and_gradients(init, data)
-        for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
+        for name in PARAMS:
             want = getattr(init, name) - cfg.learning_rate * getattr(grads, name)
-            assert same_bits(getattr(params, name), want), name
+            assert want.dtype == np.float32
+            assert same_bits(getattr(params, name), want.astype(np.float64)), name
 
     @pytest.mark.parametrize("hidden", [ActivationKind.SIGMOID, ActivationKind.RELU])
     def test_unshuffled_epochs_are_sequential_checked_gradient_steps(self, hidden):
@@ -409,21 +436,23 @@ class TestTrainLayer:
                           shuffle_each_epoch=False, act_hidden=hidden,
                           act_out=ActivationKind.SIGMOID)
         params, history = train_layer(data, 3, cfg)
-        init = init_layer(5, 3, np.random.default_rng(4), hidden, ActivationKind.SIGMOID)
-        arrays = {name: getattr(init, name).copy() for name in ("w_enc", "b_enc", "w_dec", "b_dec")}
+        init = float32_layer(
+            init_layer(5, 3, np.random.default_rng(4), hidden, ActivationKind.SIGMOID)
+        )
+        arrays = {name: getattr(init, name).copy() for name in PARAMS}
         want_history = []
         for _ in range(cfg.epochs):
             epoch_loss = 0.0
             for start in range(0, 29, 8):
                 batch = data[start : start + 8]
-                layer = manual_layer(**arrays, hidden=hidden)
+                layer = manual_layer(**arrays, hidden=hidden, dtype=np.float32)
                 loss, grads = loss_and_gradients(layer, batch)
                 epoch_loss += loss * batch.shape[0]
                 for name in arrays:
                     arrays[name] = arrays[name] - cfg.learning_rate * getattr(grads, name)
             want_history.append(epoch_loss / 29)
         for name, want in arrays.items():
-            assert same_bits(getattr(params, name), want), name
+            assert same_bits(getattr(params, name), want.astype(np.float64)), name
         assert history == want_history
 
     def test_gradients_are_not_shared_between_calls(self):
@@ -448,13 +477,16 @@ def reference_activation(kind, x):
 
 
 def reference_train_layer(data, hidden_size, cfg):
-    """Mini-batch descent in its allocating form: a fresh array for every
-    intermediate, the masked-select sigmoid, `derivative_from_output` and
-    `param -= lr * grad`."""
+    """Mini-batch descent in its allocating form, in float32: the rows and
+    the initialization rounded to float32 once, a fresh array for every
+    intermediate, the masked-select sigmoid, `derivative_from_output`,
+    `param -= lr * grad`, each batch's loss its float32 sum of squares over
+    its size, and the trained parameters returned as float64."""
     rng = np.random.default_rng(cfg.seed)
     n, d = data.shape
+    data = data.astype(np.float32)
     init = init_layer(d, hidden_size, rng, cfg.act_hidden, cfg.act_out)
-    w_enc, b_enc, w_dec, b_dec = (a.copy() for a in (init.w_enc, init.b_enc, init.w_dec, init.b_dec))
+    w_enc, b_enc, w_dec, b_dec = (getattr(init, name).astype(np.float32) for name in PARAMS)
     history, order = [], np.arange(n)
     for _ in range(cfg.epochs):
         if cfg.shuffle_each_epoch:
@@ -466,7 +498,7 @@ def reference_train_layer(data, hidden_size, cfg):
             z = reference_activation(cfg.act_hidden, batch @ w_enc.T + b_enc)
             x_rec = reference_activation(cfg.act_out, z @ w_dec.T + b_dec)
             residual = x_rec - batch
-            epoch_loss += float(np.mean(residual**2)) * m
+            epoch_loss += float(np.sum(residual**2)) / residual.size * m
             g_out = (2.0 / (d * m)) * residual * cfg.act_out.derivative_from_output(x_rec)
             g_hidden = (g_out @ w_dec) * cfg.act_hidden.derivative_from_output(z)
             w_enc -= cfg.learning_rate * (g_hidden.T @ batch)
@@ -474,12 +506,69 @@ def reference_train_layer(data, hidden_size, cfg):
             w_dec -= cfg.learning_rate * (g_out.T @ z)
             b_dec -= cfg.learning_rate * g_out.sum(axis=0)
         history.append(epoch_loss / n)
-    return (w_enc, b_enc, w_dec, b_dec), history
+    assert w_enc.dtype == w_dec.dtype == b_enc.dtype == b_dec.dtype == np.float32
+    return tuple(a.astype(np.float64) for a in (w_enc, b_enc, w_dec, b_dec)), history
+
+
+class TestFloat32Training:
+    """Layers train in float32 and come back as float64."""
+
+    @pytest.mark.parametrize("hidden", list(ActivationKind))
+    @pytest.mark.parametrize("d, h, m", [(256, 64, 32), (12, 5, 7), (5, 3, 1), (40, 60, 20)])
+    def test_float32_gradients_match_float64(self, hidden, d, h, m):
+        # The same float32-rounded layer and batch through the one step in
+        # both precisions. Over 200 random layers (widths 2-300, hidden
+        # 1-100, batches 1-64) the normwise relative error of a float32
+        # gradient was at most 1.1e-6 (9 float32 epsilons) and of the loss
+        # 1.3e-7; the bounds are ten times that. Criterion 1 checks the
+        # float64 step against finite differences.
+        rng = np.random.default_rng(d * h + m)
+        layer64 = layer_with_biases(rng, d, h, hidden)
+        layer64 = manual_layer(*(getattr(float32_layer(layer64), name) for name in PARAMS),
+                               hidden=hidden)
+        batch = rng.uniform(size=(m, d)).astype(np.float32).astype(np.float64)
+        loss64, grads64 = loss_and_gradients(layer64, batch)
+        loss32, grads32 = loss_and_gradients(float32_layer(layer64), batch)
+        assert abs(loss32 - loss64) <= 1.3e-6 * loss64
+        for name in PARAMS:
+            got, want = getattr(grads32, name), getattr(grads64, name)
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            error = np.linalg.norm(got.astype(np.float64) - want)
+            assert error <= 1.1e-5 * np.linalg.norm(want), name
+
+    @pytest.mark.parametrize("hidden", list(ActivationKind))
+    def test_trained_parameters_are_float64_holding_float32_values(self, hidden):
+        data = rank3_benchmark(n=100, d=9)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1.0, seed=6, act_hidden=hidden)
+        params, history = train_layer(data, 4, cfg)
+        for name in PARAMS:
+            value = getattr(params, name)
+            assert value.dtype == np.float64, name
+            assert same_bits(value.astype(np.float32).astype(np.float64), value), name
+        assert all(isinstance(loss, float) for loss in history)
+        stack = build_stack(data, (0.5, 0.25), cfg)
+        assert all(layer.w.dtype == layer.b.dtype == np.float64 for layer in stack.layers)
+        assert encode(stack, data).dtype == np.float64
+
+    @pytest.mark.parametrize("value", [1e200, -3.5e38, np.finfo(np.float64).max])
+    def test_finite_input_beyond_float32_range_is_a_value_error(self, value):
+        # it would be inf in float32, then a misleading divergence at epoch 0
+        data = np.random.default_rng(8).uniform(size=(20, 3))
+        data[7, 1] = value
+        with pytest.raises(ValueError, match=r"beyond float32's range \(\|x\| > 3.403e\+38\)"):
+            train_layer(data, 2, TrainConfig(epochs=1))
+
+    def test_non_finite_input_still_diverges(self):
+        data = np.random.default_rng(8).uniform(size=(20, 3))
+        data[7, 1] = np.inf
+        with pytest.raises(TrainingDivergedError, match="epoch 0, batch"):
+            train_layer(data, 2, TrainConfig(epochs=1))
 
 
 class TestTrainLayerBitwise:
-    """`train_layer` writes every step into one workspace; its weights,
-    biases and losses are the allocating loop's, bit for bit."""
+    """`train_layer` writes every step into one float32 workspace; its
+    weights, biases and losses are the float32 allocating loop's, bit for
+    bit."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -532,6 +621,32 @@ class TestBuildStack:
         data = np.random.default_rng(5).uniform(size=(20, 19))
         stack = build_stack(data, (1.5, 0.75), TrainConfig(epochs=1, seed=0))
         assert stack.output_dim == layer_size(19, 0.75)
+
+    def test_divergence_names_the_layer(self):
+        data = np.random.default_rng(0).uniform(1e30, 2e30, size=(64, 4))
+        cfg = TrainConfig(epochs=2, batch_size=16, act_hidden=ActivationKind.RELU,
+                          act_out=ActivationKind.RELU)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^layer 0 \(4 -> 2\): non-finite loss at epoch 0, batch 0$"):
+            build_stack(data, (0.5,), cfg)
+
+    def test_divergence_in_a_later_layer_names_it_and_its_input_width(self, monkeypatch):
+        import aeknn.autoencoder as autoencoder
+
+        trained = []
+
+        def diverging_second_layer(working, size, cfg, rng):
+            if trained:
+                raise TrainingDivergedError("non-finite loss at epoch 2, batch 7")
+            trained.append(size)
+            return train_layer(working, size, cfg, rng=rng)
+
+        monkeypatch.setattr(autoencoder, "train_layer", diverging_second_layer)
+        data = np.random.default_rng(9).uniform(size=(20, 256))
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^layer 1 \(384 -> 64\): non-finite loss at epoch 2, batch 7$"):
+            build_stack(data, (1.5, 0.25, 1.5), TrainConfig(epochs=1))
+        assert trained == [384]
 
     def test_loss_history_retrievable_per_layer(self):
         data = np.random.default_rng(6).uniform(size=(20, 6))

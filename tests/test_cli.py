@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aeknn import cli, dataset, pipeline
+from aeknn.autoencoder import TrainConfig
 from aeknn.cli import main, parse_ppl
 from aeknn.tables import reference_path
 
@@ -405,6 +406,31 @@ class TestEval:
         data = load_csv(blob_csvs[0])
         rebuilt = make_folds(data, 2, 4, seed=21)
         assert np.array_equal(sidecar.assignments, rebuilt.assignments)
+
+    def test_ae_cell_records_each_layer_mean_final_loss(self, blob_csvs, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(KNN_PCA_AE.replace("ppl = 0.5", "ppl = 1.5,0.5"), encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["eval", "--dataset", blob_csvs[0], "--config", str(ini), "--seed", "13",
+                     "--reps", "2", "--folds", "3", "--epochs", "3", "--lr", "0.5",
+                     "--out", str(out)]) == 0
+        cells = json.loads((out / "manifest.json").read_text())["cells"]
+        assert "final_loss" not in cells["alpha::knn"] and "final_loss" not in cells["alpha::pca1"]
+        # each fold refitted as run_cv fits it, with its own seed
+        data = dataset.load_csv(blob_csvs[0])
+        plan = dataset.make_folds(data, 2, 3, 13)
+        losses = []
+        for rep, fold, train_idx, _ in plan.iter_splits():
+            seed = int(np.random.SeedSequence([13, rep, fold]).generate_state(1)[0])
+            cfg = pipeline.PipelineConfig(
+                reducer="ae", ppl=(1.5, 0.5),
+                train_cfg=TrainConfig(epochs=3, learning_rate=0.5, seed=seed),
+            )
+            _, reducer = pipeline.fit_fold_model(data.subset(train_idx), cfg)
+            losses.append([history[-1] for history in reducer.stack.loss_histories])
+        want = np.mean(losses, axis=0).tolist()
+        assert len(want) == 2
+        assert cells["alpha::ae"]["final_loss"] == want
 
     def test_parallel_jobs_match_sequential(self, blob_csvs, tmp_path):
         ini = tmp_path / "exp.ini"

@@ -224,6 +224,117 @@ class TestLoadCsvErrors:
             load_csv(path)
 
 
+def csv_module_parse(path, label_idx, has_header):
+    """A plain `csv`-module loader: blank rows skipped, every row as wide as
+    the first, labels stripped and numbered by first appearance, each
+    feature cell through `float`; a `ValueError` for a row of another width,
+    an empty label, a cell `float` refuses, a non-finite value or a single
+    class. Returns (features, labels, class names)."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = [row for row in csv.reader(handle) if "".join(row).strip()]
+    if has_header:
+        rows = rows[1:]
+    if not rows:
+        raise ValueError("empty")
+    width = len(rows[0])
+    if label_idx >= width:
+        raise ValueError("label column out of range")
+    features, labels, classes = [], [], {}
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("columns")
+        label = row[label_idx].strip()
+        if not label:
+            raise ValueError("empty label")
+        labels.append(classes.setdefault(label, len(classes)))
+        features.append([float(cell) for j, cell in enumerate(row) if j != label_idx])
+    if not all(np.isfinite(value) for row in features for value in row):
+        raise ValueError("non-finite")
+    if len(classes) < 2:
+        raise ValueError("single-class")
+    return np.array(features, dtype=np.float64), labels, tuple(classes)
+
+
+@st.composite
+def csv_files(draw):
+    """(lines, label column, has_header) of a valid CSV: 2-12 rows of 1-4
+    finite features in several spellings `float` accepts and a label column
+    anywhere, at least two classes, blank lines and a header drawn too."""
+    n_rows = draw(st.integers(2, 12))
+    n_features = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, n_features))
+    has_header = draw(st.booleans())
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    spell = st.sampled_from(
+        [repr, lambda v: f" {v!r}\t", lambda v: f'"{v!r}"', lambda v: f"{v:.17e}"]
+    )
+    labels = draw(st.lists(st.sampled_from(["A", "B", " c ", '"d"', "e e"]),
+                           min_size=n_rows, max_size=n_rows).filter(
+        lambda names: len({name.strip().strip('"') for name in names}) >= 2))
+    lines = [",".join(f"h{j}" for j in range(n_features + 1))] if has_header else []
+    for label in labels:
+        cells = [draw(spell)(draw(value)) for _ in range(n_features)]
+        cells.insert(label_idx, label)
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ",,"])))
+    return lines, label_idx, has_header
+
+
+MALFORMED = {  # fault -> (how it breaks a feature row, what load_csv calls it)
+    "non-numeric": (lambda cells, j: cells.__setitem__(j, "1.5x"), "non-numeric value"),
+    "empty cell": (lambda cells, j: cells.__setitem__(j, " "), "non-numeric value"),
+    "short row": (lambda cells, j: cells.pop(j), "columns, expected"),
+    "non-finite": (lambda cells, j: cells.__setitem__(j, "1e400"), "non-finite value"),
+    "nan": (lambda cells, j: cells.__setitem__(j, " nan"), "non-finite value"),
+}
+
+
+class TestLoadCsvAgainstCsvModule:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv_module") / "data.csv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=csv_files())
+    def test_valid_files_parse_alike(self, path, drawn):
+        lines, label_idx, has_header = drawn
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = load_csv(path, label_column=label_idx, has_header=has_header)
+        features, labels, class_names = csv_module_parse(path, label_idx, has_header)
+        assert data.features.tobytes() == features.tobytes()
+        assert data.features.shape == features.shape
+        assert data.labels.tolist() == labels
+        assert data.class_names == class_names
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=csv_files(), fault=st.sampled_from(sorted(MALFORMED) + ["single class"]),
+           where=st.data())
+    def test_malformed_files_are_refused_by_both(self, path, drawn, fault, where):
+        lines, label_idx, has_header = drawn
+        rows = [i for i, line in enumerate(lines)
+                if line.strip(", ") and not (has_header and i == 0)]
+        if fault == "single class":
+            for i in rows:
+                cells = next(csv.reader([lines[i]]))
+                cells[label_idx] = "A"
+                lines[i] = ",".join(cells)
+            expected = "single-class"
+        else:
+            # a short first row would set the width, and the others be long
+            i = where.draw(st.sampled_from(rows[1:] if fault == "short row" else rows))
+            cells = next(csv.reader([lines[i]]))
+            features = [j for j in range(len(cells)) if j != label_idx]
+            change, expected = MALFORMED[fault]
+            change(cells, where.draw(st.sampled_from(features)))
+            lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            csv_module_parse(path, label_idx, has_header)
+        with pytest.raises(ValueError, match=expected):
+            load_csv(path, label_column=label_idx, has_header=has_header)
+
+
 class TestLoadCsvMemory:
     def test_cells_are_parsed_into_one_float64_buffer(self, tmp_path):
         # 2000 x 150 features (2.3 MiB); a Python string per cell, kept

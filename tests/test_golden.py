@@ -35,7 +35,9 @@ A change that moves bytes by design regenerates the file,
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names every hash that moved, with the reason.
+which prints each hash that moved as `section/name: old -> new` and each
+recorded fact that changed as `facts/name: old -> new`; the change names
+every one of them, with the reason.
 """
 
 from __future__ import annotations
@@ -211,6 +213,36 @@ def skip_unless_same_machine(name: str) -> None:
 
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+SECTIONS = ("run_cv", "codes", "reducer_file", "eval", "stats")
+
+
+def golden_changes(old: dict, new: dict) -> list[str]:
+    """One line per recorded fact that differs between two golden.json
+    contents, then one per hash that moved, appeared or went (`None` on the
+    side that lacks it), as `section/name: old -> new`."""
+    lines = [f"facts/{name}: {old['facts'].get(name)} -> {new['facts'].get(name)}"
+             for name in sorted(set(old["facts"]) | set(new["facts"]))
+             if old["facts"].get(name) != new["facts"].get(name)]
+    for section in SECTIONS:
+        before, after = old.get(section, {}), new.get(section, {})
+        lines += [f"{section}/{name}: {before.get(name)} -> {after.get(name)}"
+                  for name in sorted(set(before) | set(after))
+                  if before.get(name) != after.get(name)]
+    return lines
+
+
+def test_golden_changes_names_each_moved_hash_and_fact():
+    old = {"facts": {"numpy": "2.4.6", "scipy": "1.17.1"},
+           "run_cv": {"knn": "aa", "ae_0.25": "bb"}, "codes": {"knn": "cc"}}
+    new = {"facts": {"numpy": "2.4.6", "scipy": "1.18.0"},
+           "run_cv": {"knn": "aa", "ae_0.25": "dd"}, "codes": {"pca_0.5": "ee"}}
+    assert golden_changes(old, new) == [
+        "facts/scipy: 1.17.1 -> 1.18.0",
+        "run_cv/ae_0.25: bb -> dd",
+        "codes/knn: cc -> None",
+        "codes/pca_0.5: None -> ee",
+    ]
+    assert golden_changes(GOLDEN, GOLDEN) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -268,4 +300,6 @@ if __name__ == "__main__":
             "stats": {name: stats_hash(name, Path(tmp) / f"{name}.csv") for name in STATS},
         }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    for line in golden_changes(GOLDEN, golden):
+        print(line)
     print(f"wrote {GOLDEN_PATH}")

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,22 @@ class TestRunCv:
         assert len(result.fold_results) == 10
         first_rep = np.concatenate([r.test_indices for r in result.fold_results[:5]])
         assert sorted(first_rep) == list(range(100))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fold_results_carry_each_layer_final_loss(self, workers):
+        data = blob_data(n=90, seed=14)
+        plan = make_folds(data, 1, 3, seed=4)
+        cfg = PipelineConfig(reducer="ae", ppl=(1.5, 0.5), k=3, train_cfg=fast_ae)
+        result = run_cv(data, plan, cfg, workers=workers)
+        for fold_result, (rep, fold, train_idx, _) in zip(result.fold_results, plan.iter_splits()):
+            seed = int(np.random.SeedSequence([fast_ae.seed, rep, fold]).generate_state(1)[0])
+            fold_cfg = replace(cfg, train_cfg=replace(fast_ae, seed=seed))
+            _, reducer = fit_fold_model(data.subset(train_idx), fold_cfg)
+            want = tuple(losses[-1] for losses in reducer.stack.loss_histories)
+            assert len(want) == 2
+            assert fold_result.final_losses == want
+        knn = run_cv(data, plan, PipelineConfig(reducer="identity", k=3))
+        assert all(r.final_losses == () for r in knn.fold_results)
 
     def test_same_bytes_with_one_and_two_blas_threads(self):
         # run_fold holds every loaded OpenBLAS to one thread, so the host's
