@@ -9,9 +9,10 @@ sides live in the same space.
 
 Reported timing splits the work into fit (normalizer + reducer + encoding
 the training rows, i.e. building the classification model), encode (test
-rows only) and classify (one `classify_batch` call: the kd-tree's
-candidate proposals, the one exact pass over them or, where the tree cannot
-vouch for a row, over every reference, and the vote). "Classification time"
+rows only) and classify (one `classify_batch` call: the candidate
+proposals of the kd-tree or, for codes at least 48 wide, of a distance
+GEMM, the one exact pass over them or, where the screen cannot vouch for a
+row, over every reference, and the vote). "Classification time"
 in aggregated results means encode + classify.
 
 `run_cv` trains an autoencoder configuration's folds side by side: children
@@ -169,13 +170,22 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class FoldResult:
-    """Predictions and scores for one test fold, with wall-clock timings and,
-    for an autoencoder, each layer's last-epoch training loss (empty for
-    every other reducer)."""
+    """Predictions and vote counts for one test fold, with wall-clock
+    timings and, for an autoencoder, each layer's last-epoch training loss
+    (empty for every other reducer).
+
+    Each test row is stored narrow: `predictions` and `true_labels` in the
+    narrowest unsigned dtype that holds n_classes - 1, and `votes`, the
+    (n_test, n_classes) neighbor counts of the row's k-vote, in the
+    narrowest that holds k. At 10 classes and k = 5 a row takes 20 bytes
+    with its int64 test index, against 104 with int64 labels and float64
+    fractions. `scores` divides the counts by k when read, which gives the
+    bits of the fractions `classify_batch` returns."""
 
     predictions: np.ndarray
     true_labels: np.ndarray
-    scores: np.ndarray  # (n_test, n_classes) vote fractions
+    votes: np.ndarray
+    k: int
     test_indices: np.ndarray
     n_classes: int
     effective_dim: int
@@ -185,10 +195,36 @@ class FoldResult:
     final_losses: tuple[float, ...]
 
     def __post_init__(self):
+        if self.n_classes < 1 or self.k < 1:
+            raise ValueError("n_classes and k must be >= 1")
+        class_dtype = np.min_scalar_type(self.n_classes - 1)
+        for name in ("predictions", "true_labels"):
+            labels = np.asarray(getattr(self, name))
+            if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+                raise ValueError(f"{name} must be a vector of class indices")
+            if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
+                raise ValueError(f"{name} must lie in [0, {self.n_classes})")
+            object.__setattr__(self, name, labels.astype(class_dtype, copy=False))
         if self.predictions.shape != self.true_labels.shape:
             raise ValueError("one prediction per test row required")
+        votes = np.asarray(self.votes)
+        if votes.shape != (len(self.predictions), self.n_classes):
+            raise ValueError(
+                f"votes have shape {votes.shape}, expected "
+                f"({len(self.predictions)}, {self.n_classes})"
+            )
+        if not np.issubdtype(votes.dtype, np.integer) or (votes.size and votes.min() < 0):
+            raise ValueError("votes must be non-negative counts")
+        if np.any(votes.sum(axis=1) != self.k):
+            raise ValueError(f"every row's votes must sum to k={self.k}")
+        object.__setattr__(self, "votes", votes.astype(np.min_scalar_type(self.k), copy=False))
         if min(self.fit_seconds, self.encode_seconds, self.classify_seconds) < 0:
             raise ValueError("durations must be non-negative")
+
+    @property
+    def scores(self) -> np.ndarray:
+        """(n_test, n_classes) vote fractions, `votes / k`."""
+        return self.votes / self.k
 
     @property
     def classification_seconds(self) -> float:
@@ -282,14 +318,15 @@ def run_fold(train, test, cfg: PipelineConfig, fitted=None) -> FoldResult:
             n_classes=n_classes,
         )
         t0 = time.perf_counter()
-        labels, scores = classify_batch(model, encoded_test)
+        vote = classify_batch(model, encoded_test)
         classify_seconds = time.perf_counter() - t0
 
     indices = getattr(test, "indices", np.arange(test.n_samples, dtype=np.int64))
     return FoldResult(
-        predictions=labels,
+        predictions=vote[0],
         true_labels=test.labels,
-        scores=scores,
+        votes=vote.counts,
+        k=model.k,
         test_indices=np.asarray(indices, dtype=np.int64),
         n_classes=n_classes,
         effective_dim=reducer.effective_dim,

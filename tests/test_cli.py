@@ -575,6 +575,128 @@ class TestEval:
         assert os.listdir(out / "folds") == []
 
 
+def numpy_fold_metrics(true, predicted, scores, n_classes, positive=1):
+    """(accuracy, F-score, AUC) of one fold with numpy alone: binary
+    problems score class `positive`, others take macro F over every class
+    and one-vs-rest AUC over the classes present; AUC counts the positive
+    rows that outscore a negative one, ties one half."""
+
+    def f1(c):
+        tp = np.count_nonzero((predicted == c) & (true == c))
+        fp = np.count_nonzero((predicted == c) & (true != c))
+        fn = np.count_nonzero((predicted != c) & (true == c))
+        return 0.0 if tp == 0 else 2.0 * tp / (2.0 * tp + fp + fn)
+
+    def area(column, relevant):
+        pos, neg = column[relevant][:, None], column[~relevant][None, :]
+        wins = np.count_nonzero(pos > neg) + 0.5 * np.count_nonzero(pos == neg)
+        return wins / (pos.size * neg.size)
+
+    accuracy = np.mean(true == predicted)
+    if n_classes == 2:
+        return accuracy, f1(positive), area(scores[:, positive], true == positive)
+    return (
+        accuracy,
+        np.mean([f1(c) for c in range(n_classes)]),
+        np.mean([area(scores[:, c], true == c) for c in np.unique(true)]),
+    )
+
+
+def numpy_knn(train, train_labels, test, k, n_classes):
+    """(labels, vote fractions) of exact kNN on the fold's rows min-max
+    scaled by the training rows: equal distances prefer the lower
+    reference, and a vote tie the class with the nearest member, then the
+    lower class."""
+    lo, hi = train.min(axis=0), train.max(axis=0)
+    hi = np.where(hi == lo, lo + 1.0, hi)
+    refs, queries = (np.clip((x - lo) / (hi - lo), 0.0, 1.0) for x in (train, test))
+    dist = np.sqrt(((queries[:, None, :] - refs[None, :, :]) ** 2).sum(axis=2))
+    labels, fractions = [], []
+    for row in dist:
+        order = np.lexsort((np.arange(len(row)), row))[:k]
+        votes = train_labels[order]
+        counts = np.bincount(votes, minlength=n_classes)
+        tied = np.flatnonzero(counts == counts.max())
+        labels.append(min(tied, key=lambda c: (row[order][votes == c].min(), c)))
+        fractions.append(counts / k)
+    return np.array(labels), np.array(fractions)
+
+
+class TestEvalOutputsAgainstNumpy:
+    """`aeknn eval`'s audit CSVs and metric matrices, read back with the
+    `csv` module as `bench/workloads.py` reads them and recomputed with
+    numpy alone: every fold's metrics from the audit rows, and the identity
+    cell's predictions and vote fractions from an exact scan."""
+
+    K = 5
+
+    def test_audit_rows_and_matrices(self, tmp_path):
+        sets = {
+            "duo": synth.low_rank_manifold(n_samples=90, n_features=8, noise=0.1, seed=21),
+            "quad": synth.semeion_like(n_samples=120, n_features=24, n_classes=4, rank=4, seed=22),
+        }
+        paths = []
+        for name, data in sets.items():
+            paths += ["--dataset", str(tmp_path / f"{name}.csv")]
+            synth.write_csv(data, tmp_path / f"{name}.csv")
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            f"[defaults]\nk = {self.K}\n\n"
+            "[config:knn]\nreducer = identity\n\n[config:pca]\nreducer = pca\ntarget_dim = 3\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "results"
+        args = ["eval", "--config", str(ini), "--seed", "23", "--reps", "2", "--folds", "3"]
+        assert main(args + paths + ["--out", str(out)]) == 0
+        matrices = {m: read_csv(out / f"{m}.csv") for m in ("accuracy", "fscore", "auc")}
+        for matrix in matrices.values():
+            assert matrix[0] == ["dataset", "knn", "pca"]
+            assert [row[0] for row in matrix[1:]] == list(sets)
+        for d_index, (name, data) in enumerate(sets.items()):
+            rows = read_csv(tmp_path / f"{name}.csv")
+            features = np.array([[float(v) for v in row[:-1]] for row in rows])
+            index = {}
+            labels = np.array([index.setdefault(row[-1], len(index)) for row in rows])
+            n_classes = len(index)
+            plan = read_csv(out / "folds" / f"{name}.plan")
+            assignments = np.array([[int(v) for v in row[0].split()] for row in plan[1:]])
+            for c_index, label in enumerate(("knn", "pca")):
+                audit = read_csv(out / "folds" / f"{name}__{label}.csv")
+                assert audit[0] == ["repetition", "fold", "row_id", "true_label",
+                                    "predicted_label"] + [f"score_{c}" for c in index]
+                body = np.array(audit[1:], dtype=np.float64)
+                assert len(body) == 2 * len(labels)
+                per_fold = []
+                for rep in range(2):
+                    for fold in range(3):
+                        fold_rows = body[(body[:, 0] == rep) & (body[:, 1] == fold)]
+                        row_ids = fold_rows[:, 2].astype(int)
+                        true, predicted = fold_rows[:, 3].astype(int), fold_rows[:, 4].astype(int)
+                        scores = fold_rows[:, 5:]
+                        assert np.array_equal(
+                            np.sort(row_ids), np.flatnonzero(assignments[rep] == fold)
+                        )
+                        assert np.array_equal(true, labels[row_ids])
+                        # fractions of k votes, the predicted class among the most voted
+                        votes = scores * self.K
+                        assert np.array_equal(votes, np.round(votes))
+                        assert np.all(votes.sum(axis=1) == self.K)
+                        assert np.all(votes[np.arange(len(votes)), predicted] == votes.max(axis=1))
+                        per_fold.append(numpy_fold_metrics(true, predicted, scores, n_classes))
+                        if label == "knn":
+                            train = np.flatnonzero(assignments[rep] != fold)
+                            want_labels, want_scores = numpy_knn(
+                                features[train], labels[train], features[row_ids],
+                                self.K, n_classes,
+                            )
+                            assert np.array_equal(predicted, want_labels)
+                            assert scores.tobytes() == want_scores.tobytes()
+                reported = [float(matrices[m][1 + d_index][1 + c_index]) for m in matrices]
+                np.testing.assert_allclose(
+                    reported, np.mean(per_fold, axis=0), rtol=0, atol=1e-12
+                )
+
+
 class TestBenchmarkSpans:
     """The benchmark's traced run patches `aeknn` functions where the package
     looks them up (`bench/spans.py`); a renamed or removed target, or a call

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -546,6 +546,156 @@ class TestTreeScreenAgainstScan:
         got = batch_answers(model, queries)
         assert sorted(sources[:2]) == [(False, 100), (True, 10)]
         assert_same_answers(got, scan_answers(model, queries))
+
+
+def every_width_on_the_gemm_screen(monkeypatch):
+    """Route every batch, whatever its width, to the GEMM screen, and fail
+    if a kd-tree is built."""
+
+    class UnbuiltTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a kd-tree was built")
+
+    monkeypatch.setattr(knn, "_GEMM_MIN_WIDTH", 0)
+    monkeypatch.setattr(knn, "cKDTree", UnbuiltTree)
+
+
+def recording_sources(monkeypatch):
+    """A list that collects, per exact pass, whether it took every
+    reference (a broadcast, zero row stride) and how many rows it took."""
+    sources = []
+    real_nearest = knn._nearest
+
+    def recording_nearest(model, queries, cols):
+        sources.append((cols.strides[0] == 0, len(queries)))
+        return real_nearest(model, queries, cols)
+
+    monkeypatch.setattr(knn, "_nearest", recording_nearest)
+    return sources
+
+
+class TestGemmScreenAgainstScan:
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(tree_screen_problems())
+    def test_same_bits_as_the_scan(self, monkeypatch, problem):
+        every_width_on_the_gemm_screen(monkeypatch)
+        references, labels, n_classes, k, queries = problem
+        model = KnnModel(references=references, labels=labels, k=k, n_classes=n_classes)
+        with np.errstate(over="ignore"):
+            assert_same_answers(batch_answers(model, queries), scan_answers(model, queries))
+
+    @pytest.mark.parametrize("block_bytes", [None, 2048])
+    def test_wide_batches_take_it_and_build_no_tree(self, block_bytes, monkeypatch):
+        # 2048-byte tiles hold two rows of 120 estimates, or one of 300
+        if block_bytes is not None:
+            monkeypatch.setattr(knn, "_BLOCK_BYTES", block_bytes)
+        screens = []
+        real_screen = knn._gemm_screen
+
+        def recording_screen(model, queries, width):
+            screens.append(len(queries))
+            return real_screen(model, queries, width)
+
+        monkeypatch.setattr(knn, "_gemm_screen", recording_screen)
+        rng = np.random.default_rng(27)
+        for n_ref in (120, 300):
+            references = rng.random((n_ref, knn._GEMM_MIN_WIDTH))
+            queries = rng.random((25, knn._GEMM_MIN_WIDTH))
+            model = KnnModel(references=references, labels=np.arange(n_ref) % 3, k=4)
+            screens.clear()
+            assert_same_answers(batch_answers(model, queries), scan_answers(model, queries))
+            assert screens == [25, 25]
+            assert "_tree" not in vars(model)
+
+    def test_narrower_batches_take_the_tree(self, monkeypatch):
+        def unreachable_screen(*args, **kwargs):
+            raise AssertionError("the GEMM screen was reached")
+
+        monkeypatch.setattr(knn, "_gemm_screen", unreachable_screen)
+        rng = np.random.default_rng(28)
+        references = rng.random((300, knn._GEMM_MIN_WIDTH - 1))
+        queries = rng.random((25, knn._GEMM_MIN_WIDTH - 1))
+        model = KnnModel(references=references, labels=np.arange(300) % 3, k=4)
+        assert_same_answers(batch_answers(model, queries), scan_answers(model, queries))
+        assert "_tree" in vars(model) and "_squared_norms" not in vars(model)
+
+    def test_batch_mixing_certified_and_every_reference_rows(self, monkeypatch):
+        # 40 equal references tie for the queries at their point, past the
+        # k + 4 proposals, so those rows take every reference; the others
+        # are certified from the proposals
+        sources = recording_sources(monkeypatch)
+        rng = np.random.default_rng(11)
+        width = knn._GEMM_MIN_WIDTH
+        references = np.vstack([rng.normal(size=(400, width)), np.ones((40, width))])
+        queries = np.vstack([rng.normal(size=(100, width)), np.ones((10, width))])
+        queries = queries[rng.permutation(110)]
+        model = KnnModel(references=references, labels=np.arange(440) % 4, k=3)
+        got = batch_answers(model, queries)
+        assert sorted(sources[:2]) == [(False, 100), (True, 10)]
+        assert_same_answers(got, scan_answers(model, queries))
+        assert "_tree" not in vars(model)
+
+    def test_coordinates_past_the_guard_take_the_scan(self, monkeypatch):
+        # past 1e150 the squared norms can overflow, and the expanded square
+        # gives inf - inf = NaN; such batches must not reach the screen
+        def unreachable_screen(*args, **kwargs):
+            raise AssertionError("the GEMM screen was reached")
+
+        monkeypatch.setattr(knn, "_gemm_screen", unreachable_screen)
+        width = knn._GEMM_MIN_WIDTH
+        rng = np.random.default_rng(12)
+        small = rng.normal(size=(30, width))
+        with np.errstate(over="ignore"):
+            for references, queries in (
+                (np.vstack([small, np.full((1, width), 1e200)]), small[:6]),
+                (small, np.vstack([small[:3], np.full((1, width), -2e150)])),
+                (np.full((31, width), 1e300), np.full((2, width), -1e300)),
+            ):
+                model = KnnModel(references=references, labels=np.arange(len(references)) % 2, k=3)
+                assert_same_answers(batch_answers(model, queries), scan_answers(model, queries))
+                assert "_tree" not in vars(model)
+
+    def test_more_than_k_plus_4_ties_at_the_kth_distance(self, monkeypatch):
+        # on an integer grid every squared distance is an exact integer: two
+        # references at distance 1, then 30 at exactly sqrt(2), so the third
+        # nearest ties among 30 and the lower-index rule needs them all
+        sources = recording_sources(monkeypatch)
+        width = knn._GEMM_MIN_WIDTH
+        rng = np.random.default_rng(13)
+        query = np.zeros(width)
+        near = np.zeros((2, width))
+        near[0, 0], near[1, 1] = 1.0, -1.0
+        tied = np.zeros((30, width))
+        tied[np.arange(30), np.arange(2, 32)] = 1.0
+        tied[np.arange(30), np.arange(3, 33)] = 1.0
+        far = rng.integers(2, 4, size=(60, width)).astype(np.float64)
+        references = np.vstack([far[:30], tied, near, far[30:]])
+        labels = np.arange(len(references)) % 3
+        queries = np.vstack([query, far[0] + 0.5])
+        for k in (3, 5, 20):
+            sources.clear()
+            model = KnnModel(references=references, labels=labels, k=k)
+            got = batch_answers(model, queries)
+            want = rule_oracle(broadcast_reference(references, queries), labels, 3, k)
+            assert_same_answers(got, want)
+            assert (True, 1) in sources[:2]
+
+
+def test_gemm_screen_memory_is_bounded_at_a_tall_wide_shape():
+    # 50000 x 64 references (25.6 MB) and 200 queries: a tile sized by the
+    # budget holds two rows of estimates, and its argpartition as much
+    # again; the estimates of the whole batch would take 80 MB
+    rng = np.random.default_rng(14)
+    model = KnnModel(
+        references=rng.random((50000, 64)), labels=rng.integers(0, 3, size=50000), k=5
+    )
+    queries = rng.random((200, 64))
+    assert traced_peak(lambda: classify_batch(model, queries)) < 8 * 2**20
+    assert "_tree" not in vars(model)
 
 
 def test_tree_screen_memory_is_bounded_at_a_tall_narrow_shape():

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from aeknn.autoencoder import TrainConfig
 from aeknn.dataset import Dataset, NormalizationStats, fit_normalizer, make_folds
 from aeknn.knn import KnnModel, classify_batch
 from aeknn import pipeline
-from aeknn.pipeline import PipelineConfig, fit_fold_model, run_cv, run_fold
+from aeknn.pipeline import FoldResult, PipelineConfig, fit_fold_model, run_cv, run_fold
 
 import synth
 from memory import traced_peak
@@ -598,6 +599,100 @@ class TestFoldMemory:
         assert (view.n_samples, view.n_features) == (1500, 100)
         # the labels and indices of 1500 rows, not their 1.2 MB of features
         assert peak < 1500 * 8 * 100 / 10
+
+
+def fold_result(**changes) -> FoldResult:
+    """A valid three-row, three-class, k = 2 fold result, with `changes`."""
+    fields = dict(
+        predictions=np.array([0, 2, 1]),
+        true_labels=np.array([0, 1, 1]),
+        votes=np.array([[2, 0, 0], [0, 1, 1], [1, 1, 0]]),
+        k=2,
+        test_indices=np.arange(3),
+        n_classes=3,
+        effective_dim=4,
+        fit_seconds=0.0,
+        encode_seconds=0.0,
+        classify_seconds=0.0,
+        final_losses=(),
+    )
+    return FoldResult(**{**fields, **changes})
+
+
+class TestFoldResult:
+    def test_rows_stored_narrow_with_scores_as_votes_over_k(self):
+        result = fold_result()
+        assert result.predictions.dtype == result.true_labels.dtype == np.uint8
+        assert result.votes.dtype == np.uint8
+        assert result.predictions.tolist() == [0, 2, 1]
+        want = np.array([[2, 0, 0], [0, 1, 1], [1, 1, 0]]) / 2
+        assert result.scores.dtype == np.float64
+        assert result.scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"votes": np.array([[2, 0, 0], [0, 1, 1]])}, "votes have shape"),
+            ({"votes": np.array([[2, 0], [0, 2], [1, 1]])}, "votes have shape"),
+            ({"votes": np.array([2, 0, 0])}, "votes have shape"),
+            ({"votes": np.array([[2, 0, 0], [0, 1, 0], [1, 1, 0]])}, "sum to k=2"),
+            ({"votes": np.array([[3, 0, -1], [0, 1, 1], [1, 1, 0]])}, "non-negative counts"),
+            ({"votes": np.array([[2.0, 0, 0], [0, 1, 1], [1, 1, 0]])}, "non-negative counts"),
+            ({"k": 0, "votes": np.zeros((3, 3), dtype=int)}, "k must be >= 1"),
+            ({"k": 3}, "sum to k=3"),
+            ({"predictions": np.array([0, 3, 1])}, r"lie in \[0, 3\)"),
+            ({"true_labels": np.array([0, -1, 1])}, r"lie in \[0, 3\)"),
+            ({"predictions": np.array([0.0, 2.0, 1.0])}, "vector of class indices"),
+            ({"true_labels": np.array([0, 1])}, "one prediction per test row"),
+            ({"classify_seconds": -1.0}, "non-negative"),
+        ],
+    )
+    def test_rejects_what_it_cannot_store(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            fold_result(**changes)
+
+    def test_300_classes_and_k_300_widen_to_uint16_with_the_same_score_bits(self):
+        # three rows of each of 300 classes; two of each train, k = 300
+        rng = np.random.default_rng(30)
+        labels = np.repeat(np.arange(300), 3)
+        features = rng.random((900, 3)) + labels[:, None] / 300
+        data = Dataset(
+            features=features, labels=labels, class_names=tuple(f"c{i}" for i in range(300))
+        )
+        rows = np.arange(900)
+        train, test = data.subset(rows[rows % 3 != 0]), data.subset(rows[rows % 3 == 0])
+        result = run_fold(train, test, PipelineConfig(reducer="identity", k=300))
+        assert result.predictions.dtype == result.true_labels.dtype == np.uint16
+        assert result.votes.dtype == np.uint16
+        assert result.k == 300
+        stats = fit_normalizer(train.features)
+        model = KnnModel(
+            references=stats.apply(train.features), labels=train.labels, k=300, n_classes=300
+        )
+        want_labels, want_fractions = classify_batch(model, stats.apply(test.features))
+        assert result.predictions.tolist() == want_labels.tolist()
+        assert result.true_labels.tolist() == test.labels.tolist()
+        assert result.scores.tobytes() == want_fractions.tobytes()
+
+    def test_retained_run_cv_result_takes_few_bytes_per_test_row(self):
+        # a semeion-shaped identity run keeps, per test row, two one-byte
+        # class indices, ten one-byte vote counts and an int64 test index:
+        # 20 bytes, and a little for the ten folds' objects. int64 labels
+        # and float64 vote fractions took 104.
+        data = synth.semeion_like(n_samples=1593, seed=31)
+        plan = make_folds(data, 2, 5, seed=31)
+        cfg = PipelineConfig(reducer="identity", k=5)
+        run_cv(data, plan, cfg)  # first-use caches are not the result's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_cv(data, plan, cfg)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = sum(len(fold.predictions) for fold in result.fold_results)
+        assert rows == 2 * 1593
+        assert retained / rows < 32
 
 
 class TestConfigValidation:
